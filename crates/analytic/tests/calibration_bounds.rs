@@ -13,7 +13,7 @@
 use ballerino_analytic::{
     class_error_bound_pct, predict_cycles, workload_class, MachineParams, WorkloadClass,
 };
-use ballerino_sim::{run_machine_with_dag, DesignPoint, MachineKind, Width};
+use ballerino_sim::{run_machine, DesignPoint, MachineKind, Width};
 use ballerino_workloads::{cached_dag, cached_features, cached_workload, workload_names};
 
 const N: usize = 8_000;
@@ -47,7 +47,7 @@ fn committed_calibration_stays_within_class_bounds() {
                 let trace = cached_workload(wl, N, SEED);
                 let dag = cached_dag(wl, N, SEED);
                 let feat = cached_features(wl, N, SEED);
-                let sim = run_machine_with_dag(kind, width, &trace, Some(&dag)).cycles;
+                let sim = run_machine(kind, width, &trace).cycles;
                 let class = workload_class(wl);
                 let est = predict_cycles(&params, &dag, &feat, wl).cycles;
                 let err = 100.0 * (est as f64 - sim as f64).abs() / sim as f64;

@@ -41,7 +41,7 @@
 //!   "baseline_wall_s": 5.317,   // legacy runner × frozen seed pipeline
 //!   "new_wall_s": 2.656,        // work-stealing runner × slab pipeline
 //!   "speedup": 2.0019,          // baseline_wall_s / new_wall_s
-//!   "cycle_mismatches": 0,      // any non-zero ⇒ behavioral drift ⇒ exit 1
+//!   "cycle_mismatches": 0,      // cells whose full SimResult differs ⇒ exit 1
 //!   "cells": [                  // one per (kind, workload), kind-major
 //!     {"kind": "OoO", "workload": "stream_triad", "cycles": 9741,
 //!      "committed": 20000, "cycles_skipped": 1234, "host_wall_s": 0.0123,
@@ -51,9 +51,9 @@
 //! }
 //! ```
 //!
-//! Both sides simulate every cell; per-cell cycle counts must agree
-//! exactly (the refactor is behavior-preserving), so `speedup` is a
-//! pure host-throughput ratio.
+//! Both sides simulate every cell, alternating rep by rep; each cell's
+//! full `SimResult` (host-throughput fields zeroed) must agree exactly,
+//! so `speedup` is a pure host-throughput ratio.
 
 #![warn(missing_docs)]
 
@@ -172,8 +172,8 @@ pub fn run_cells(
     let points = grid_points(kinds, &[width], &[None], &[100]);
     let cells = enumerate_cells(&points, &names, n, s);
 
-    // SimCell::run shares the cached trace and DAG per (workload, n,
-    // seed), so every machine kind consumes one generation/resolution.
+    // SimCell::run shares the cached trace per (workload, n, seed), so
+    // every machine kind consumes one generation.
     let mut out = run_pool(&cells, threads, SimCell::run);
 
     let mut rows = Vec::with_capacity(kinds.len());

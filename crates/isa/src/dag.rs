@@ -8,8 +8,8 @@
 //! records the producing trace index of each register source, the consumer
 //! list (CSR layout), the execution latency and functional-unit class, and
 //! whether the μop starts a new instruction-cache line relative to its
-//! predecessor. The macro-step engine uses these to reason about a run of
-//! cycles in one pass without replaying the per-op scans, and harnesses
+//! predecessor. The tier-0 analytic estimator (`ballerino-analytic`)
+//! reasons over these facts without simulating a cycle, and harnesses
 //! memoize the resolution through `ballerino_workloads::TraceCache`.
 //!
 //! The DAG is keyed by **trace index**, not by dynamic sequence number:
@@ -73,9 +73,6 @@ pub struct TraceDag {
     consumer_start: Vec<u32>,
     /// Concatenated consumer trace indices, ascending within each row.
     consumers: Vec<u32>,
-    /// Prefix sums of load counts: `load_prefix[i]` = loads among ops
-    /// `[0, i)`. Length `ops.len() + 1`.
-    load_prefix: Vec<u32>,
 }
 
 impl TraceDag {
@@ -136,19 +133,10 @@ impl TraceDag {
             }
         }
 
-        let mut load_prefix = Vec::with_capacity(n + 1);
-        load_prefix.push(0u32);
-        let mut loads = 0u32;
-        for dop in &ops {
-            loads += (dop.class == OpClass::Load) as u32;
-            load_prefix.push(loads);
-        }
-
         TraceDag {
             ops,
             consumer_start,
             consumers,
-            load_prefix,
         }
     }
 
@@ -186,23 +174,6 @@ impl TraceDag {
     /// Total number of producer→consumer edges.
     pub fn num_edges(&self) -> usize {
         self.consumers.len()
-    }
-
-    /// Number of loads among trace indices `[lo, hi)`, in O(1) via a
-    /// prefix sum. Out-of-range bounds clamp to the trace; an inverted
-    /// range counts as empty. The macro-step engine uses the load
-    /// density of the upcoming fetch window to size grant-block
-    /// horizons (load-dense regions wake off cache timing, so long
-    /// blocks there mostly get invalidated).
-    #[inline]
-    pub fn loads_in(&self, lo: usize, hi: usize) -> u32 {
-        let n = self.ops.len();
-        let lo = lo.min(n);
-        let hi = hi.min(n);
-        if lo >= hi {
-            return 0;
-        }
-        self.load_prefix[hi] - self.load_prefix[lo]
     }
 }
 
@@ -298,22 +269,5 @@ mod tests {
         let dag = TraceDag::resolve(&Trace::new("empty"));
         assert!(dag.is_empty());
         assert_eq!(dag.num_edges(), 0);
-        assert_eq!(dag.loads_in(0, 10), 0);
-    }
-
-    #[test]
-    fn loads_in_counts_window_loads() {
-        let mut t = Trace::new("loads");
-        t.push(MicroOp::alu(0x0, ArchReg::int(1), [None, None]));
-        t.push(MicroOp::load(0x4, ArchReg::int(2), None, 0x1000));
-        t.push(MicroOp::load(0x8, ArchReg::int(3), None, 0x1040));
-        t.push(MicroOp::alu(0xc, ArchReg::int(4), [None, None]));
-        let dag = TraceDag::resolve(&t);
-        assert_eq!(dag.loads_in(0, 4), 2);
-        assert_eq!(dag.loads_in(1, 2), 1);
-        assert_eq!(dag.loads_in(3, 4), 0);
-        // Bounds clamp; inverted ranges are empty.
-        assert_eq!(dag.loads_in(2, 100), 1);
-        assert_eq!(dag.loads_in(3, 1), 0);
     }
 }

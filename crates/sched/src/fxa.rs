@@ -10,7 +10,7 @@
 use crate::ooo::{OooIq, OooIqConfig};
 use crate::ports::PortAlloc;
 use crate::stats::{IssueBreakdown, SchedEnergyEvents};
-use crate::traits::{BlockHorizon, DispatchOutcome, GrantBlock, ReadyCtx, Scheduler};
+use crate::traits::{DispatchOutcome, ReadyCtx, Scheduler};
 use crate::uop::SchedUop;
 use ballerino_isa::{OpClass, PhysReg};
 
@@ -147,30 +147,6 @@ impl Scheduler for Fxa {
         let mut b = self.backend.issue_breakdown();
         b.from_ixu = self.ixu_issued;
         b
-    }
-
-    fn macro_grant_block(
-        &mut self,
-        ctx: &ReadyCtx<'_>,
-        ports: &mut PortAlloc<'_>,
-        horizon: BlockHorizon,
-    ) -> Option<GrantBlock> {
-        // `issue` is the capped back-end verbatim, so the back-end's plan
-        // (built against the capped width) is FXA's plan. IXU activity
-        // stays on the live dispatch path: its front-end executions never
-        // enter the back-end fabric, and any resulting early completions
-        // that wake back-end residents off-plan fail block validation.
-        ports.cap_remaining(self.cfg.backend_width);
-        self.backend.macro_grant_block(ctx, ports, horizon)
-    }
-
-    fn block_advance(
-        &mut self,
-        ctx: &ReadyCtx<'_>,
-        block: &mut GrantBlock,
-        out: &mut Vec<u64>,
-    ) -> bool {
-        self.backend.block_advance(ctx, block, out)
     }
 
     fn next_event_cycle(&self, ctx: &ReadyCtx<'_>, pending: Option<&SchedUop>) -> Option<u64> {

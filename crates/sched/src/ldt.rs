@@ -11,9 +11,8 @@
 //! running estimate for loads, a fixed short latency for everything
 //! else. Select then grants *soonest-predicted-ready first* instead of
 //! lowest-slot-first: the prediction is encoded in the high bits of the
-//! [`WakeFabric`] entry tag, so the shared select/port-claim loop (and
-//! its grant-identical [`WakeFabric::select_fast`] macro path) realises
-//! the delay-sorted ready structure with no extra machinery.
+//! [`WakeFabric`] entry tag, so the shared select/port-claim loop
+//! realises the delay-sorted ready structure with no extra machinery.
 //!
 //! The load-delay estimate itself is updated *in real time*: every
 //! issued load is watched, and once the scoreboard publishes its actual
@@ -27,7 +26,7 @@
 use crate::fabric::WakeFabric;
 use crate::ports::PortAlloc;
 use crate::stats::{IssueBreakdown, SchedEnergyEvents};
-use crate::traits::{BlockHorizon, DispatchOutcome, GrantBlock, ReadyCtx, Scheduler, StallReason};
+use crate::traits::{DispatchOutcome, ReadyCtx, Scheduler, StallReason};
 use crate::uop::SchedUop;
 use ballerino_isa::{PhysReg, MAX_PORTS};
 use std::cmp::Reverse;
@@ -35,7 +34,7 @@ use std::collections::{BinaryHeap, VecDeque};
 
 /// Bits of the fabric tag reserved for the slot index; the predicted
 /// delay occupies the bits above. Slot bits make every resident's tag
-/// unique, which [`WakeFabric::select_fast`] requires.
+/// unique, so select's lowest-tag priority never ties.
 const SLOT_BITS: u32 = 10;
 /// Maximum window size the tag encoding supports.
 const MAX_SLOTS: usize = 1 << SLOT_BITS;
@@ -384,91 +383,6 @@ impl Scheduler for Ldt {
 
     fn issue_breakdown(&self) -> IssueBreakdown {
         self.breakdown
-    }
-
-    fn macro_grant(
-        &mut self,
-        ctx: &ReadyCtx<'_>,
-        ports: &mut PortAlloc<'_>,
-        out: &mut Vec<u64>,
-    ) -> bool {
-        if self.broadcast_wakeup {
-            return false; // legacy A/B path goes through `issue`
-        }
-        if self.occupancy == 0 {
-            return true; // `issue` would return without side effects
-        }
-        // Mirror of `issue`'s fabric path with the grant-identical fast
-        // select; every charge matches `issue` line for line.
-        self.energy.head_examinations += self.occupancy as u64;
-        self.observe_loads(ctx);
-        self.fabric.poll(ctx);
-        let any_request = self.fabric.select_fast(ports, false);
-        if any_request {
-            self.energy.select_inputs += (self.cfg.entries * MAX_PORTS.min(8)) as u64;
-        }
-        for k in 0..self.fabric.grant_count() {
-            let seq = self.fabric.grant(k);
-            let i = (self.fabric.tag_of(seq) & SLOT_MASK) as usize;
-            debug_assert_eq!(self.slots[i].as_ref().map(|u| u.seq), Some(seq));
-            self.grant_slot(i, ctx.cycle, out);
-        }
-        true
-    }
-
-    fn macro_grant_block(
-        &mut self,
-        ctx: &ReadyCtx<'_>,
-        ports: &mut PortAlloc<'_>,
-        horizon: BlockHorizon,
-    ) -> Option<GrantBlock> {
-        if self.broadcast_wakeup {
-            return None; // legacy A/B path goes through `issue`
-        }
-        if self.occupancy == 0 {
-            return None; // `macro_grant` already handles empty for free
-        }
-        // Tags are unique (slot index in the low bits), so the plan's
-        // tag-keyed select is exact; delay-sorted priority carries over
-        // because the tag *is* the priority.
-        self.fabric.plan_block(ctx, ports, horizon, false)
-    }
-
-    fn block_advance(
-        &mut self,
-        ctx: &ReadyCtx<'_>,
-        block: &mut GrantBlock,
-        out: &mut Vec<u64>,
-    ) -> bool {
-        // Validation first, mutating nothing: a failed cycle falls back
-        // to `macro_grant`/`issue`, which charges it exactly once.
-        if !self.fabric.verify_block_cycle(block, ctx.cycle) {
-            return false;
-        }
-        if self.occupancy == 0 {
-            return true; // `issue` would return without side effects
-        }
-        // Serve the validated cycle with `macro_grant`'s exact
-        // bookkeeping. The delay observation runs every served cycle at
-        // the same point `issue` would run it: the tracked-delay EWMA
-        // feeds future dispatch tags, so its update cadence is
-        // behaviour, not just accounting.
-        self.energy.head_examinations += self.occupancy as u64;
-        self.observe_loads(ctx);
-        if self.fabric.ready_len() > 0 {
-            self.energy.select_inputs += (self.cfg.entries * MAX_PORTS.min(8)) as u64;
-        }
-        while let Some(&(c, seq)) = block.grants.get(block.g_cursor) {
-            debug_assert!(c >= ctx.cycle, "block cycles are served in order");
-            if c != ctx.cycle {
-                break;
-            }
-            block.g_cursor += 1;
-            let i = (self.fabric.tag_of(seq) & SLOT_MASK) as usize;
-            debug_assert_eq!(self.slots[i].as_ref().map(|u| u.seq), Some(seq));
-            self.grant_slot(i, ctx.cycle, out);
-        }
-        true
     }
 
     fn next_event_cycle(&self, ctx: &ReadyCtx<'_>, pending: Option<&SchedUop>) -> Option<u64> {

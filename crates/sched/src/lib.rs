@@ -66,5 +66,5 @@ pub use scoreboard::Scoreboard;
 pub use stats::{
     HeadState, HeadStateStats, IssueBreakdown, SchedEnergyEvents, SteerEvent, SteerStats,
 };
-pub use traits::{BlockHorizon, DispatchOutcome, GrantBlock, ReadyCtx, Scheduler, StallReason};
+pub use traits::{DispatchOutcome, ReadyCtx, Scheduler, StallReason};
 pub use uop::SchedUop;

@@ -18,7 +18,7 @@
 use crate::fabric::WakeFabric;
 use crate::ports::PortAlloc;
 use crate::stats::{IssueBreakdown, SchedEnergyEvents};
-use crate::traits::{BlockHorizon, DispatchOutcome, GrantBlock, ReadyCtx, Scheduler, StallReason};
+use crate::traits::{DispatchOutcome, ReadyCtx, Scheduler, StallReason};
 use crate::uop::SchedUop;
 use ballerino_isa::{PhysReg, MAX_PORTS};
 use std::cmp::Reverse;
@@ -344,97 +344,6 @@ impl Scheduler for OooIq {
 
     fn issue_breakdown(&self) -> IssueBreakdown {
         self.breakdown
-    }
-
-    fn macro_grant(
-        &mut self,
-        ctx: &ReadyCtx<'_>,
-        ports: &mut PortAlloc<'_>,
-        out: &mut Vec<u64>,
-    ) -> bool {
-        if self.reference_select || self.broadcast_wakeup {
-            return false; // legacy A/B paths go through `issue`
-        }
-        if self.occupancy == 0 {
-            return true; // `issue` would return without side effects
-        }
-        // Mirror of `issue`'s fabric path, with the grant-identical fast
-        // select. Every charge below matches `issue` line for line.
-        self.energy.head_examinations += self.occupancy as u64;
-        self.fabric.poll(ctx);
-        let any_request = self.fabric.select_fast(ports, self.cfg.oldest_first);
-        if any_request {
-            self.energy.select_inputs += (self.cfg.entries * MAX_PORTS.min(8)) as u64;
-        }
-        for k in 0..self.fabric.grant_count() {
-            let seq = self.fabric.grant(k);
-            let i = self.fabric.tag_of(seq) as usize;
-            let u = self.slots[i].take().expect("granted slot");
-            debug_assert_eq!(u.seq, seq);
-            self.free_slots.push(Reverse(i));
-            self.occupancy -= 1;
-            self.energy.queue_reads += 1;
-            self.breakdown.from_ooo += 1;
-            out.push(seq);
-            self.fabric.remove(seq);
-        }
-        true
-    }
-
-    fn macro_grant_block(
-        &mut self,
-        ctx: &ReadyCtx<'_>,
-        ports: &mut PortAlloc<'_>,
-        horizon: BlockHorizon,
-    ) -> Option<GrantBlock> {
-        if self.reference_select || self.broadcast_wakeup {
-            return None; // legacy A/B paths go through `issue`
-        }
-        if self.occupancy == 0 {
-            return None; // `macro_grant` already handles empty for free
-        }
-        self.fabric
-            .plan_block(ctx, ports, horizon, self.cfg.oldest_first)
-    }
-
-    fn block_advance(
-        &mut self,
-        ctx: &ReadyCtx<'_>,
-        block: &mut GrantBlock,
-        out: &mut Vec<u64>,
-    ) -> bool {
-        // Validation first, mutating nothing: a failed cycle falls back
-        // to `macro_grant`/`issue`, which charges it exactly once.
-        if !self.fabric.verify_block_cycle(block, ctx.cycle) {
-            return false;
-        }
-        if self.occupancy == 0 {
-            return true; // `issue` would return without side effects
-        }
-        // Serve the validated cycle with `macro_grant`'s exact
-        // bookkeeping; `poll` is skipped because the held list was
-        // verified empty, and select is replaced by the plan.
-        self.energy.head_examinations += self.occupancy as u64;
-        if self.fabric.ready_len() > 0 {
-            self.energy.select_inputs += (self.cfg.entries * MAX_PORTS.min(8)) as u64;
-        }
-        while let Some(&(c, seq)) = block.grants.get(block.g_cursor) {
-            debug_assert!(c >= ctx.cycle, "block cycles are served in order");
-            if c != ctx.cycle {
-                break;
-            }
-            block.g_cursor += 1;
-            let i = self.fabric.tag_of(seq) as usize;
-            let u = self.slots[i].take().expect("granted slot");
-            debug_assert_eq!(u.seq, seq);
-            self.free_slots.push(Reverse(i));
-            self.occupancy -= 1;
-            self.energy.queue_reads += 1;
-            self.breakdown.from_ooo += 1;
-            out.push(seq);
-            self.fabric.remove(seq);
-        }
-        true
     }
 
     fn next_event_cycle(&self, ctx: &ReadyCtx<'_>, pending: Option<&SchedUop>) -> Option<u64> {

@@ -48,67 +48,6 @@ impl ReadyCtx<'_> {
     }
 }
 
-/// Planning parameters for [`Scheduler::macro_grant_block`].
-#[derive(Debug, Clone, Copy)]
-pub struct BlockHorizon {
-    /// Maximum number of cycles the block may cover.
-    pub cycles: u64,
-    /// The core's optimistic load-to-use completion hint: a block-planned
-    /// load's result is assumed available `load_latency` cycles after its
-    /// grant (an L1 hit on the fast path). The plan is a prediction, not
-    /// a promise — a slower actual completion makes the predicted wakeup
-    /// miss its cycle, which the per-cycle validation in
-    /// [`Scheduler::block_advance`] catches before any state diverges.
-    pub load_latency: u64,
-}
-
-/// A pre-computed multi-cycle issue schedule over `[start, end)`.
-///
-/// Produced by [`Scheduler::macro_grant_block`] in one pass over the
-/// scheduler's ready/waiting sets, consumed one cycle at a time by
-/// [`Scheduler::block_advance`]. The block carries everything needed to
-/// *verify* each cycle before serving it: the planned grants, the
-/// predicted Waiting→Ready wakeups the plan depends on, and the exact
-/// ready-set population expected at each cycle's issue point. The
-/// scheduler itself holds no block state — a block can be dropped at any
-/// cycle boundary and the per-cycle oracle path resumes bit-exactly.
-#[derive(Debug, Clone, Default)]
-pub struct GrantBlock {
-    /// First cycle the block covers.
-    pub start: u64,
-    /// One past the last cycle the block covers.
-    pub end: u64,
-    /// Planned `(cycle, seq)` grants, sorted by cycle (ties in select
-    /// priority order, which for the fabric designs is also the order
-    /// `issue` would have pushed them).
-    pub grants: Vec<(u64, u64)>,
-    /// Cursor into `grants`: first not-yet-served entry.
-    pub g_cursor: usize,
-    /// Predicted Waiting→Ready transitions `(cycle, seq)` among resident
-    /// μops, sorted by cycle. `block_advance` verifies each predicted
-    /// wake actually happened (entry is Ready) before serving its cycle.
-    pub wakes: Vec<(u64, u64)>,
-    /// Cursor into `wakes`: first not-yet-verified entry.
-    pub w_cursor: usize,
-    /// Expected ready-set size at the issue point of each covered cycle
-    /// (relative index `cycle - start`), *before* that cycle's grants are
-    /// removed. Any divergence — an unplanned dispatch, an early or extra
-    /// wakeup — shows up as a count mismatch and invalidates the block.
-    pub expected_ready: Vec<u32>,
-}
-
-impl GrantBlock {
-    /// Cycles the block covers.
-    pub fn len(&self) -> u64 {
-        self.end - self.start
-    }
-
-    /// Whether the block covers no cycles.
-    pub fn is_empty(&self) -> bool {
-        self.end == self.start
-    }
-}
-
 /// Why a dispatch was refused this cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StallReason {
@@ -208,80 +147,6 @@ pub trait Scheduler {
     ///   bounded inter-queue movement before reporting quiescence.
     fn next_event_cycle(&self, _ctx: &ReadyCtx<'_>, _pending: Option<&SchedUop>) -> Option<u64> {
         None
-    }
-
-    /// Macro-step grant: a drop-in replacement for one [`Scheduler::issue`]
-    /// call used by the core's macro-step engine (see ARCHITECTURE.md,
-    /// "The macro-step engine").
-    ///
-    /// Returns `true` when the scheduler handled the cycle itself, in
-    /// which case its grants **and** every observable side effect
-    /// (energy micro-events, issue breakdown, head/steer histograms,
-    /// internal queue state) must be byte-identical to what `issue` would
-    /// have produced for the same arguments — the macro engine skips the
-    /// `issue` call entirely. Designs on the [`WakeFabric`] path
-    /// implement this with the fabric's fast select
-    /// ([`WakeFabric::select_fast`]); the conservative default declines
-    /// (`false`, mutating nothing), and the engine falls back to the
-    /// per-cycle `issue` call.
-    ///
-    /// [`WakeFabric`]: crate::WakeFabric
-    /// [`WakeFabric::select_fast`]: crate::WakeFabric::select_fast
-    fn macro_grant(
-        &mut self,
-        _ctx: &ReadyCtx<'_>,
-        _ports: &mut PortAlloc<'_>,
-        _out: &mut Vec<u64>,
-    ) -> bool {
-        false
-    }
-
-    /// Block grant: plans up to `horizon.cycles` future cycles of issue in
-    /// one pass, so the macro engine can serve issue from the plan instead
-    /// of re-querying the scheduler every cycle (see ARCHITECTURE.md, "The
-    /// macro-step engine").
-    ///
-    /// The returned [`GrantBlock`] must be a *verifiable* schedule: grants
-    /// in dependence order, port/width/FU constraints applied in closed
-    /// form, stopped at the first cycle whose outcome depends on anything
-    /// the plan cannot see (an MDP hold release, a store-set hold, an
-    /// unpredictable completion). Consuming it through
-    /// [`Scheduler::block_advance`] must be byte-identical to calling
-    /// `issue`/`macro_grant` per cycle — including every energy
-    /// micro-event, breakdown counter, and histogram — for as long as each
-    /// cycle validates. The conservative default declines (`None`,
-    /// mutating nothing); designs whose per-cycle issue depends on state
-    /// the block cannot pre-verify (cascade movement, steering tables,
-    /// per-head histograms) keep the default and stay on the fused
-    /// per-cycle path.
-    fn macro_grant_block(
-        &mut self,
-        _ctx: &ReadyCtx<'_>,
-        _ports: &mut PortAlloc<'_>,
-        _horizon: BlockHorizon,
-    ) -> Option<GrantBlock> {
-        None
-    }
-
-    /// Serves one cycle (`ctx.cycle`) from a block previously returned by
-    /// [`Scheduler::macro_grant_block`]: validates that the scheduler's
-    /// actual state still matches the plan, and if so applies this cycle's
-    /// grants and bookkeeping exactly as `issue` would have.
-    ///
-    /// Returns `false` — after mutating **nothing** — when the cycle fails
-    /// validation (a predicted wakeup missed, the ready population
-    /// diverged, a hold appeared): the core then drops the block and falls
-    /// back to `macro_grant`/`issue` for the same cycle, which charges the
-    /// cycle's bookkeeping exactly once. Validation must be complete: a
-    /// `true` return asserts the served cycle is byte-identical to the
-    /// per-cycle oracle.
-    fn block_advance(
-        &mut self,
-        _ctx: &ReadyCtx<'_>,
-        _block: &mut GrantBlock,
-        _out: &mut Vec<u64>,
-    ) -> bool {
-        false
     }
 
     /// Replays the bookkeeping of `k` consecutive idle cycles in one call:

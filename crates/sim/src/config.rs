@@ -3,20 +3,6 @@
 use ballerino_isa::PortMap;
 use ballerino_mem::MemConfig;
 
-/// Default macro-engine hysteresis: fused runs shorter than this are
-/// treated as failed engagements (the regime was not steady enough to
-/// amortize the macro loop's entry and ring-flush overhead).
-pub const MACRO_MIN_RUN: u64 = 8;
-
-/// Default dormancy bounds after failed macro/block engagements. The
-/// first failure costs only the minimum (so warm-up hiccups do not
-/// suppress the engine); consecutive failures double the dormancy up
-/// to the maximum, so persistently unsteady phases (e.g. the
-/// memory-bound `stream_triad`) re-test the gate only rarely.
-pub const MACRO_BACKOFF_MIN: u64 = 8;
-/// See [`MACRO_BACKOFF_MIN`].
-pub const MACRO_BACKOFF_MAX: u64 = 512;
-
 /// Machine width preset of Table I.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Width {
@@ -79,25 +65,6 @@ pub struct CoreConfig {
     /// Purely a simulator-throughput knob: results are byte-identical
     /// either way.
     pub skip_idle: bool,
-    /// Whether the macro-step engine may execute steady-state cycle runs
-    /// in one fused pass (see ARCHITECTURE.md, "The macro-step engine").
-    /// Purely a simulator-throughput knob: results are byte-identical
-    /// either way.
-    pub use_macro: bool,
-    /// Whether the macro-step engine may serve issue from pre-planned
-    /// grant blocks ([`ballerino_sched::Scheduler::macro_grant_block`])
-    /// instead of querying the scheduler every cycle. Purely a
-    /// simulator-throughput knob: results are byte-identical either way.
-    pub use_block: bool,
-    /// Macro-engine hysteresis: fused runs shorter than this count as
-    /// failed engagements ([`MACRO_MIN_RUN`]). Overridable at runtime
-    /// via `BALLERINO_MACRO_BACKOFF=min_run[,backoff_min[,backoff_max]]`.
-    pub macro_min_run: u64,
-    /// Minimum dormancy after a failed engagement ([`MACRO_BACKOFF_MIN`]).
-    pub macro_backoff_min: u64,
-    /// Maximum dormancy after consecutive failed engagements
-    /// ([`MACRO_BACKOFF_MAX`]).
-    pub macro_backoff_max: u64,
 }
 
 impl CoreConfig {
@@ -120,11 +87,6 @@ impl CoreConfig {
                 use_mdp: true,
                 freq_ghz: 3.4,
                 skip_idle: true,
-                use_macro: true,
-                use_block: true,
-                macro_min_run: MACRO_MIN_RUN,
-                macro_backoff_min: MACRO_BACKOFF_MIN,
-                macro_backoff_max: MACRO_BACKOFF_MAX,
             },
             Width::Ten => CoreConfig {
                 issue_width: 10,
@@ -147,11 +109,6 @@ impl CoreConfig {
                 use_mdp: true,
                 freq_ghz: 2.5,
                 skip_idle: true,
-                use_macro: true,
-                use_block: true,
-                macro_min_run: MACRO_MIN_RUN,
-                macro_backoff_min: MACRO_BACKOFF_MIN,
-                macro_backoff_max: MACRO_BACKOFF_MAX,
             },
             Width::Two => CoreConfig {
                 front_width: 2,
@@ -172,11 +129,6 @@ impl CoreConfig {
                 use_mdp: true,
                 freq_ghz: 2.0,
                 skip_idle: true,
-                use_macro: true,
-                use_block: true,
-                macro_min_run: MACRO_MIN_RUN,
-                macro_backoff_min: MACRO_BACKOFF_MIN,
-                macro_backoff_max: MACRO_BACKOFF_MAX,
             },
         }
     }

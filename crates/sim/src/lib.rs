@@ -33,8 +33,8 @@ pub mod stats;
 pub use crate::core::Core;
 pub use config::{CoreConfig, Width};
 pub use machine::{
-    build_scheduler, build_scheduler_point, run_machine, run_machine_reference,
-    run_machine_with_dag, run_point, DesignPoint, MachineKind,
+    build_scheduler, build_scheduler_point, run_machine, run_machine_reference, run_point,
+    DesignPoint, MachineKind,
 };
 pub use slab::SeqSlab;
 pub use stats::{SimResult, TimingBreakdown, TimingClass};

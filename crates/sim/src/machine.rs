@@ -234,35 +234,6 @@ fn build_scheduler_inner(
     if ballerino_isa::env_flag("BALLERINO_NO_SKIP") {
         cfg.skip_idle = false;
     }
-    // A/B oracle knob for the macro-step engine; results are identical
-    // either way (see tests/macro_equivalence.rs).
-    if ballerino_isa::env_flag("BALLERINO_NO_MACRO") {
-        cfg.use_macro = false;
-    }
-    // A/B oracle knob for block-grant macro-stepping; results are
-    // identical either way (see tests/macro_equivalence.rs).
-    if ballerino_isa::env_flag("BALLERINO_NO_BLOCK") {
-        cfg.use_block = false;
-    }
-    // Macro-engine hysteresis override, `min_run[,backoff_min[,backoff_max]]`
-    // (e.g. `BALLERINO_MACRO_BACKOFF=4,8,256`), for A/B-ing block-vs-
-    // backoff interactions without rebuilds. Results are identical for
-    // any values: the ladder only shifts which engine serves a cycle.
-    if let Some(v) = ballerino_isa::env_val("BALLERINO_MACRO_BACKOFF") {
-        let mut parts = v.split(',').map(|p| p.trim().parse::<u64>());
-        let mut take = |dst: &mut u64| {
-            if let Some(Ok(x)) = parts.next() {
-                *dst = x;
-            }
-        };
-        take(&mut cfg.macro_min_run);
-        take(&mut cfg.macro_backoff_min);
-        take(&mut cfg.macro_backoff_max);
-        assert!(
-            cfg.macro_backoff_min > 0 && cfg.macro_backoff_min <= cfg.macro_backoff_max,
-            "BALLERINO_MACRO_BACKOFF: need 0 < backoff_min <= backoff_max, got {v:?}"
-        );
-    }
     if point.dram_scale_pct != 100 {
         let scale = |x: u64| ((x * point.dram_scale_pct as u64) / 100).max(1);
         cfg.mem.dram.cas = scale(cfg.mem.dram.cas);
@@ -540,42 +511,23 @@ pub fn run_machine(kind: MachineKind, width: Width, trace: &Trace) -> SimResult 
     Core::new(cfg, sched, sizes).run(trace)
 }
 
-/// Like [`run_machine`], but reuses a pre-resolved dependence DAG for
-/// the trace (see [`ballerino_isa::TraceDag`]). Harnesses that run many
-/// machines over the same trace should resolve (or memoize) the DAG once
-/// and pass it here; `run_machine` resolves a private copy per call when
-/// the macro-step engine is enabled.
-pub fn run_machine_with_dag(
-    kind: MachineKind,
-    width: Width,
-    trace: &Trace,
-    dag: Option<&ballerino_isa::TraceDag>,
-) -> SimResult {
-    let (cfg, sched, sizes) = build_scheduler(kind, width);
-    Core::new(cfg, sched, sizes).run_with_dag(trace, dag)
-}
-
 /// Like [`run_machine`], but on the seed-layout
 /// [`CoreRef`](crate::core_ref::CoreRef) reference pipeline. Must report
-/// the same cycles as [`run_machine`] on every input; exists for the
-/// `perf_smoke` equivalence + throughput A/B.
+/// the same [`SimResult`] as [`run_machine`] on every input, apart from
+/// the host-throughput fields `host_wall_s` and `cycles_skipped`; exists
+/// for the `perf_smoke` equivalence + throughput A/B.
 pub fn run_machine_reference(kind: MachineKind, width: Width, trace: &Trace) -> SimResult {
     let (cfg, sched, sizes) = build_scheduler_inner(&DesignPoint::new(kind, width), true);
     crate::core_ref::CoreRef::new(cfg, sched, sizes).run(trace)
 }
 
-/// Builds and runs one [`DesignPoint`] over a trace, reusing a
-/// pre-resolved dependence DAG when available. This is the sweep
+/// Builds and runs one [`DesignPoint`] over a trace. This is the sweep
 /// engine's cycle-accurate tier: every enumerated configuration —
 /// including IQ-budget and DRAM-latency overrides — funnels through
 /// here.
-pub fn run_point(
-    point: &DesignPoint,
-    trace: &Trace,
-    dag: Option<&ballerino_isa::TraceDag>,
-) -> SimResult {
+pub fn run_point(point: &DesignPoint, trace: &Trace) -> SimResult {
     let (cfg, sched, sizes) = build_scheduler_point(point);
-    Core::new(cfg, sched, sizes).run_with_dag(trace, dag)
+    Core::new(cfg, sched, sizes).run(trace)
 }
 
 #[cfg(test)]

@@ -27,7 +27,7 @@ type FeatSlot = Arc<OnceLock<Arc<TraceFeatures>>>;
 ///
 /// Besides the traces themselves, the cache memoizes each trace's
 /// pre-resolved dependence/latency [`TraceDag`] (see
-/// [`TraceCache::dag`]) so the macro-step engine's one-time O(n)
+/// [`TraceCache::dag`]) so the tier-0 estimator's one-time O(n)
 /// resolution is also paid once per `(name, n, seed)` per process.
 #[derive(Debug, Default)]
 pub struct TraceCache {
@@ -67,8 +67,10 @@ impl TraceCache {
     }
 
     /// Returns the pre-resolved dependence/latency DAG for
-    /// `(name, n, seed)`, resolving it on first use (generating the
-    /// trace too if needed). Repeated calls return clones of the same
+    /// `(name, n, seed)` — the input of the tier-0 analytic estimator
+    /// (`ballerino_analytic::predict_cycles`); the cycle-accurate
+    /// simulator never reads it — resolving it on first use (generating
+    /// the trace too if needed). Repeated calls return clones of the same
     /// `Arc`.
     ///
     /// # Panics

@@ -1,6 +1,6 @@
 //! Property tests for `TraceCache` DAG pre-resolution.
 //!
-//! The macro-step engine trusts [`TraceDag`] to equal what the per-cycle
+//! The tier-0 estimator trusts [`TraceDag`] to equal what the per-cycle
 //! pipeline would discover incrementally at rename time. These tests
 //! re-derive the dependence structure with an **independent oracle** — a
 //! per-op backward scan over program order, the textbook definition of
