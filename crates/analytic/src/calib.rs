@@ -527,8 +527,7 @@ pub fn promotion_margin_pct(classes: &[WorkloadClass]) -> u32 {
 /// ~`m/(100-m)` — overestimation, not absolute error, is what the
 /// margin must cover, which is why this is far tighter than the
 /// absolute class bounds. Validated end to end by the frontier-equality
-/// gates in `sweep_bench` and the CI smoke sweep; override per run with
-/// `BALLERINO_SWEEP_MARGIN`.
+/// gates in `sweep_bench` and the CI smoke sweep.
 ///
 /// With the per-workload reference alphas the estimator's worst
 /// observed overshoot on promoted points of the full grid is ~6%; 8

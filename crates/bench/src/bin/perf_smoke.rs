@@ -6,8 +6,9 @@
 //!   `thread::scope` runner (one short-lived thread per workload, traces
 //!   regenerated once per kind) driving the frozen seed-layout pipeline
 //!   ([`run_machine_reference`]: `HashMap` inflight/taint/waiters core,
-//!   rescan-loop OoO select, per-cycle-allocating Ballerino issue and
-//!   port arbitration).
+//!   seed-exact memory lookup, rescan-loop OoO select, broadcast-scan
+//!   LDT wakeup, per-cycle-allocating Ballerino issue and port
+//!   arbitration).
 //! * **New** — the work-stealing [`run_matrix`] pool (`BALLERINO_THREADS`
 //!   workers, shared `TraceCache`) driving the slab-based
 //!   [`ballerino_sim::run_machine`] pipeline.
@@ -21,26 +22,18 @@
 //! JSON schema.
 //!
 //! Usage: `perf_smoke` (honors `BALLERINO_N` / `BALLERINO_SEED` /
-//! `BALLERINO_THREADS`, plus `BALLERINO_MEM_NAIVE` to pin both sides to
-//! the seed-exact memory lookup path for fast-path A/Bs;
-//! `BALLERINO_REPS` overrides the repetition count, default 3 — the
-//! JSON reports the median wall per side plus the min/max spread).
+//! `BALLERINO_THREADS`; `BALLERINO_REPS` overrides the repetition count,
+//! default 3 — the JSON reports the median wall per side plus the
+//! min/max spread).
 //! Exits non-zero on any mismatch.
 
-use ballerino_bench::{run_matrix, run_matrix_legacy, seed, suite_len, threads, Provenance};
+use ballerino_bench::{
+    normalized, run_matrix, run_matrix_legacy, seed, suite_len, threads, Provenance,
+};
 use ballerino_sim::{run_machine_reference, MachineKind, SimResult, Width};
 use ballerino_workloads::workload_names;
 use std::fmt::Write as _;
 use std::time::Instant;
-
-/// Debug rendering with the host-throughput fields zeroed: everything
-/// that remains is simulated behaviour and must match the reference.
-fn normalized(r: &SimResult) -> String {
-    let mut z = r.clone();
-    z.host_wall_s = 0.0;
-    z.cycles_skipped = 0;
-    format!("{z:?}")
-}
 
 /// Median of a small wall-clock sample (sorts in place).
 fn median(xs: &mut [f64]) -> f64 {
@@ -52,20 +45,18 @@ fn main() {
     let kinds = MachineKind::FIG11;
     let width = Width::Eight;
     let names = workload_names();
-    let mem_naive = ballerino_isa::env_flag("BALLERINO_MEM_NAIVE");
     let reps: usize = std::env::var("BALLERINO_REPS")
         .ok()
         .and_then(|v| v.parse().ok())
         .filter(|&r| r >= 1)
         .unwrap_or(3);
     println!(
-        "perf_smoke: {} kinds x {} workloads, N={}, seed={}, threads={}, mem={}, reps={reps}",
+        "perf_smoke: {} kinds x {} workloads, N={}, seed={}, threads={}, reps={reps}",
         kinds.len(),
         names.len(),
         suite_len(),
         seed(),
         threads(),
-        if mem_naive { "naive" } else { "fast" },
     );
 
     println!(
@@ -175,11 +166,6 @@ fn render_json(
     let _ = writeln!(s, "  \"n\": {},", suite_len());
     let _ = writeln!(s, "  \"seed\": {},", seed());
     let _ = writeln!(s, "  \"threads\": {},", threads());
-    let _ = writeln!(
-        s,
-        "  \"mem_naive\": {},",
-        ballerino_isa::env_flag("BALLERINO_MEM_NAIVE")
-    );
     let _ = writeln!(s, "  \"reps\": {},", base_walls.len());
     let _ = writeln!(s, "  \"cycles_skipped\": {total_skipped},");
     let _ = writeln!(s, "  \"total_cycles\": {total_cycles},");

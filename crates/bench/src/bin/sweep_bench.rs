@@ -19,8 +19,6 @@
 //! * `BALLERINO_SWEEP_SMALL` — use the CI smoke spec (40 points) instead
 //!   of the full 2556-point grid.
 //! * `BALLERINO_SWEEP_N` — override μops per workload trace.
-//! * `BALLERINO_SWEEP_MARGIN` — promotion margin in percent (default:
-//!   the widest committed per-class calibration bound).
 //! * `BALLERINO_TIER0_ONLY` — triage and promote but skip *all*
 //!   simulation (both sides); reports the estimated frontier. No
 //!   frontier gate in this mode.
@@ -35,7 +33,7 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 fn main() {
-    let mut spec = if ballerino_isa::env_flag("BALLERINO_SWEEP_SMALL") {
+    let mut spec = if ballerino_bench::env_flag("BALLERINO_SWEEP_SMALL") {
         SweepSpec::smoke()
     } else {
         SweepSpec::full()
@@ -45,7 +43,7 @@ fn main() {
             spec.n = n;
         }
     }
-    let tier0_only = ballerino_isa::env_flag("BALLERINO_TIER0_ONLY");
+    let tier0_only = ballerino_bench::env_flag("BALLERINO_TIER0_ONLY");
     let points = spec.points();
     println!(
         "sweep_bench: {} points ({} kinds x {} widths x {} iq x {} dram), \
@@ -204,8 +202,8 @@ fn main() {
 
     if !frontier_match {
         eprintln!(
-            "promoted frontier != exhaustive frontier — widen \
-             BALLERINO_SWEEP_MARGIN or recalibrate (tier0_calibrate)"
+            "promoted frontier != exhaustive frontier — recalibrate \
+             (tier0_calibrate)"
         );
         std::process::exit(1);
     }

@@ -161,7 +161,7 @@ fn main() {
             alpha_milli: alphas,
             alpha_wl_milli: alphas_wl,
         };
-        let verbose = ballerino_isa::env_flag("BALLERINO_CALIB_VERBOSE");
+        let verbose = ballerino_bench::env_flag("BALLERINO_CALIB_VERBOSE");
         for (wi, w) in WIDTHS.iter().enumerate() {
             for (name, sr) in names.iter().zip(&sim[wi]) {
                 let dag = cached_dag(name, n, s);

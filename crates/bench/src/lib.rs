@@ -93,6 +93,27 @@ pub fn seed() -> u64 {
         .unwrap_or(42)
 }
 
+/// Debug rendering of a result with the host-throughput fields
+/// (`host_wall_s`, `cycles_skipped`) zeroed: everything that remains is
+/// simulated behaviour, which the live and reference pipelines must
+/// agree on exactly.
+pub fn normalized(r: &SimResult) -> String {
+    let mut z = r.clone();
+    z.host_wall_s = 0.0;
+    z.cycles_skipped = 0;
+    format!("{z:?}")
+}
+
+/// Whether a boolean `BALLERINO_*` environment knob of a harness binary
+/// is enabled.
+///
+/// Set-but-empty counts as *unset*, so CI matrices (and shell one-liners
+/// like `BALLERINO_SWEEP_SMALL= sweep_bench`) can pass an empty value to
+/// mean "leave the default"; any non-empty value enables the knob.
+pub fn env_flag(name: &str) -> bool {
+    std::env::var_os(name).is_some_and(|v| !v.is_empty())
+}
+
 /// Worker threads for the matrix runner (env `BALLERINO_THREADS`,
 /// default: the host's available parallelism; always at least 1).
 pub fn threads() -> usize {

@@ -141,15 +141,9 @@ impl SweepSpec {
         )
     }
 
-    /// The promotion margin for this spec: `BALLERINO_SWEEP_MARGIN`
-    /// (percent) if set, else the committed default
-    /// ([`ballerino_analytic::default_promotion_margin_pct`]).
+    /// The promotion margin for this spec, in percent: the committed
+    /// default ([`ballerino_analytic::default_promotion_margin_pct`]).
     pub fn margin_pct(&self) -> u32 {
-        if let Ok(v) = std::env::var("BALLERINO_SWEEP_MARGIN") {
-            if let Ok(m) = v.parse() {
-                return m;
-            }
-        }
         default_promotion_margin_pct()
     }
 }

@@ -5,10 +5,9 @@
 //! table, which points at the youngest older producer. That discovery is
 //! pure — it depends only on program order and the μop stream — so a
 //! [`TraceDag`] resolves it **once per trace**: for every trace index it
-//! records the producing trace index of each register source, the consumer
-//! list (CSR layout), the execution latency and functional-unit class, and
-//! whether the μop starts a new instruction-cache line relative to its
-//! predecessor. The tier-0 analytic estimator (`ballerino-analytic`)
+//! records the producing trace index of each register source, the
+//! execution latency and functional-unit class, and whether the μop starts
+//! a new instruction-cache line relative to its predecessor. The tier-0 analytic estimator (`ballerino-analytic`)
 //! reasons over these facts without simulating a cycle, and harnesses
 //! memoize the resolution through `ballerino_workloads::TraceCache`.
 //!
@@ -43,17 +42,10 @@ pub struct DagOp {
     /// for sequential fetch — after a redirect the fetch unit must
     /// re-compare real lines.
     pub line_cross: bool,
-    /// Number of used source slots.
-    pub num_srcs: u8,
-    /// Whether the μop writes a destination register.
-    pub has_dst: bool,
 }
 
-/// A trace pre-resolved into a dependence/latency DAG.
-///
-/// Producer→consumer edges are stored twice: forward as
-/// [`DagOp::producers`] (two slots per op) and inverted as a CSR
-/// adjacency ([`TraceDag::consumers_of`]).
+/// A trace pre-resolved into a dependence/latency DAG. Producer→consumer
+/// edges are stored forward, as [`DagOp::producers`] (two slots per op).
 ///
 /// # Examples
 ///
@@ -64,15 +56,11 @@ pub struct DagOp {
 /// t.push(MicroOp::alu(0x4, ArchReg::int(2), [Some(ArchReg::int(1)), None]));
 /// let dag = TraceDag::resolve(&t);
 /// assert_eq!(dag.op(1).producers, [Some(0), None]);
-/// assert_eq!(dag.consumers_of(0), &[1]);
+/// assert!(!dag.op(1).line_cross);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct TraceDag {
     ops: Vec<DagOp>,
-    /// CSR row starts into `consumers`; length `ops.len() + 1`.
-    consumer_start: Vec<u32>,
-    /// Concatenated consumer trace indices, ascending within each row.
-    consumers: Vec<u32>,
 }
 
 impl TraceDag {
@@ -84,8 +72,6 @@ impl TraceDag {
         // Youngest writer of each architectural register, by flat index.
         let mut last_writer = [u32::MAX; NUM_ARCH_REGS as usize];
         let mut prev_line = u64::MAX;
-        // Out-degree per op, counted as edges are discovered.
-        let mut degree = vec![0u32; n];
 
         for (idx, op) in trace.ops.iter().enumerate() {
             let mut producers = [None, None];
@@ -94,7 +80,6 @@ impl TraceDag {
                     let w = last_writer[r.flat() as usize];
                     if w != u32::MAX {
                         producers[slot] = Some(w);
-                        degree[w as usize] += 1;
                     }
                 }
             }
@@ -105,8 +90,6 @@ impl TraceDag {
                 fu: FuKind::for_class(op.class),
                 exec_latency: op.class.exec_latency(),
                 line_cross: line != prev_line,
-                num_srcs: op.num_srcs() as u8,
-                has_dst: op.dst.is_some(),
             });
             prev_line = line;
             if let Some(d) = op.dst {
@@ -114,30 +97,7 @@ impl TraceDag {
             }
         }
 
-        // CSR fill: prefix-sum row starts, then scatter consumers. A
-        // second forward pass appends consumers in ascending order.
-        let mut consumer_start = Vec::with_capacity(n + 1);
-        let mut total = 0u32;
-        consumer_start.push(0);
-        for d in &degree {
-            total += d;
-            consumer_start.push(total);
-        }
-        let mut cursor: Vec<u32> = consumer_start[..n].to_vec();
-        let mut consumers = vec![0u32; total as usize];
-        for (idx, dop) in ops.iter().enumerate() {
-            for p in dop.producers.iter().flatten() {
-                let c = &mut cursor[*p as usize];
-                consumers[*c as usize] = idx as u32;
-                *c += 1;
-            }
-        }
-
-        TraceDag {
-            ops,
-            consumer_start,
-            consumers,
-        }
+        TraceDag { ops }
     }
 
     /// Number of μops.
@@ -159,21 +119,6 @@ impl TraceDag {
     /// All pre-resolved ops in trace order.
     pub fn ops(&self) -> &[DagOp] {
         &self.ops
-    }
-
-    /// Trace indices of the μops reading `idx`'s destination before it is
-    /// overwritten, in ascending trace order. A consumer appears once per
-    /// source slot it reads the value through.
-    #[inline]
-    pub fn consumers_of(&self, idx: usize) -> &[u32] {
-        let lo = self.consumer_start[idx] as usize;
-        let hi = self.consumer_start[idx + 1] as usize;
-        &self.consumers[lo..hi]
-    }
-
-    /// Total number of producer→consumer edges.
-    pub fn num_edges(&self) -> usize {
-        self.consumers.len()
     }
 }
 
@@ -215,16 +160,6 @@ mod tests {
     }
 
     #[test]
-    fn consumers_invert_producers() {
-        let dag = TraceDag::resolve(&chain());
-        assert_eq!(dag.consumers_of(0), &[1, 2]);
-        assert_eq!(dag.consumers_of(1), &[2]);
-        assert_eq!(dag.consumers_of(2), &[3]);
-        assert_eq!(dag.consumers_of(3), &[] as &[u32]);
-        assert_eq!(dag.num_edges(), 4);
-    }
-
-    #[test]
     fn line_cross_marks_line_boundaries() {
         let dag = TraceDag::resolve(&chain());
         assert!(dag.op(0).line_cross, "first op always crosses");
@@ -247,8 +182,7 @@ mod tests {
         assert_eq!(dag.op(0).exec_latency, OpClass::FpMul.exec_latency());
         assert_eq!(dag.op(0).fu, FuKind::FpMul);
         assert_eq!(dag.op(1).fu, FuKind::Agu);
-        assert!(dag.op(1).has_dst);
-        assert_eq!(dag.op(1).num_srcs, 0);
+        assert_eq!(dag.op(1).producers, [None, None]);
     }
 
     #[test]
@@ -261,13 +195,12 @@ mod tests {
         ));
         let dag = TraceDag::resolve(&t);
         assert_eq!(dag.op(0).producers, [None, None]);
-        assert_eq!(dag.num_edges(), 0);
     }
 
     #[test]
     fn empty_trace_resolves() {
         let dag = TraceDag::resolve(&Trace::new("empty"));
         assert!(dag.is_empty());
-        assert_eq!(dag.num_edges(), 0);
+        assert_eq!(dag.len(), 0);
     }
 }

@@ -37,12 +37,3 @@ pub use ports::{FuKind, PortId, PortMap, MAX_PORTS};
 pub use regs::{ArchReg, PhysReg, RegClass, NUM_ARCH_REGS};
 pub use trace::{Trace, TraceStats};
 pub use trace_io::{from_text, to_text, ParseTraceError};
-
-/// Whether a boolean `BALLERINO_*` environment knob is enabled.
-///
-/// Set-but-empty counts as *unset*, so CI matrices (and shell one-liners
-/// like `BALLERINO_NO_SKIP= cargo test`) can pass an empty value to mean
-/// "leave the default"; any non-empty value enables the knob.
-pub fn env_flag(name: &str) -> bool {
-    std::env::var_os(name).is_some_and(|v| !v.is_empty())
-}

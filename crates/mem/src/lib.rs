@@ -18,9 +18,9 @@
 //!
 //! The per-access hot path (flat SoA cache arrays, MRU fast hits, the
 //! hierarchy line filter, slot-array MSHRs) has a frozen seed-exact
-//! counterpart selected by [`Hierarchy::with_naive_lookup`] or the
-//! `BALLERINO_MEM_NAIVE` environment variable; `tests/hierarchy_equiv.rs`
-//! pins the two paths to identical timings, levels, and statistics.
+//! counterpart built by [`Hierarchy::with_naive_lookup`], the memory of
+//! the reference pipeline; `tests/hierarchy_equiv.rs` pins the two paths
+//! to identical timings, levels, and statistics.
 
 #![warn(missing_docs)]
 

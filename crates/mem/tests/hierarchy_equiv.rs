@@ -62,7 +62,7 @@ fn gen_addr(rng: &mut Rng64, stream_pos: &mut u64) -> u64 {
 }
 
 fn drive_pair(cfg: &MemConfig, seed: u64, ops: usize) {
-    let mut fast = Hierarchy::with_fast_lookup(cfg);
+    let mut fast = Hierarchy::new(cfg);
     let mut naive = Hierarchy::with_naive_lookup(cfg);
     assert!(!fast.is_naive() && naive.is_naive());
 
@@ -161,7 +161,7 @@ fn fast_path_matches_naive_on_table_i_geometry() {
 fn fast_path_matches_naive_under_mshr_merge_storms() {
     for case in 0..8u64 {
         let cfg = tiny_cfg(false, 1);
-        let mut fast = Hierarchy::with_fast_lookup(&cfg);
+        let mut fast = Hierarchy::new(&cfg);
         let mut naive = Hierarchy::with_naive_lookup(&cfg);
         let mut rng = Rng64::new(0x5708_0000 + case);
         let sets = 8u64; // tiny L1: 1024 B / 64 B / 2 ways
@@ -187,7 +187,7 @@ fn fast_path_matches_naive_under_mshr_merge_storms() {
 #[test]
 fn fast_path_matches_naive_under_streaming_evictions() {
     let cfg = tiny_cfg(true, 4);
-    let mut fast = Hierarchy::with_fast_lookup(&cfg);
+    let mut fast = Hierarchy::new(&cfg);
     let mut naive = Hierarchy::with_naive_lookup(&cfg);
     let mut t = 0u64;
     for i in 0..6_000u64 {

@@ -191,10 +191,10 @@ fn flush_is_exact() {
     }
 }
 
-/// The fabric-driven OoO wakeup path and the legacy broadcast-scan A/B
-/// path (`BALLERINO_BROADCAST_WAKEUP=1`) must make identical grant
-/// decisions, charge identical energy, and agree on the quiesce horizon
-/// across random dependence streams with a mid-run flush.
+/// The fabric-driven OoO wakeup path and the reference pipeline's
+/// rescan select ([`OooIq::with_reference_select`]) must make identical
+/// grant decisions, charge identical energy, and agree on the quiesce
+/// horizon across random dependence streams with a mid-run flush.
 #[test]
 fn ooo_fabric_matches_broadcast_wakeup() {
     for case in 0..128u64 {
@@ -209,7 +209,7 @@ fn ooo_fabric_matches_broadcast_wakeup() {
             oldest_first: oldest,
             ..Default::default()
         })
-        .with_broadcast_wakeup();
+        .with_reference_select();
         let mut scb = Scoreboard::new(512);
         let held = HeldSet::new();
         let busy = FuBusy::new();
@@ -332,8 +332,9 @@ fn ooo_fabric_matches_broadcast_wakeup() {
     }
 }
 
-/// Same A/B pin for the load-delay-tracking queue: the fabric-driven
-/// delay-sorted select and the legacy broadcast-scan path must make
+/// Same pin for the load-delay-tracking queue: the fabric-driven
+/// delay-sorted select and the reference pipeline's broadcast-scan path
+/// ([`Ldt::with_broadcast_wakeup`]) must make
 /// identical grant decisions, charge identical energy, and agree on the
 /// quiesce horizon across random dependence streams with a mid-run
 /// flush.

@@ -19,17 +19,17 @@
 //! * `--merge FILE...` — read per-shard JSONL files, verify they agree,
 //!   and print the canonical key-sorted union to stdout.
 //!
-//! Environment: `BALLERINO_SHARD=i/n` selects this process's slice;
-//! `BALLERINO_THREADS`, `BALLERINO_SERVE_MAILBOX`,
-//! `BALLERINO_SERVE_RETRIES`, `BALLERINO_SERVE_BACKOFF_MS` tune the
-//! pool (see the README knob table).
+//! Environment: `BALLERINO_SHARD=i/n` selects this process's slice and
+//! `BALLERINO_THREADS` sizes the pool (see the README knob table). The
+//! mailbox holds 2× workers; a panicking cell is retried twice with a
+//! 10 ms base backoff.
 //!
 //! Exit codes: 0 done, 1 usage/spec error, 2 cells failed permanently,
 //! 3 halted early (crash injection).
 
 use ballerino_serve::{
     merge_records, parse_records, run_campaign, run_cell, to_jsonl, CampaignMode, CampaignSpec,
-    EngineConfig,
+    EngineConfig, Shard,
 };
 use std::io::Write;
 use std::path::PathBuf;
@@ -92,6 +92,25 @@ fn parse_args() -> Args {
     args
 }
 
+/// The service defaults: `BALLERINO_THREADS` workers, a mailbox of 2×
+/// workers, 2 retries with a 10 ms base backoff (doubling), and the
+/// slice from `BALLERINO_SHARD` (unset or empty = the whole campaign).
+fn engine_config() -> Result<EngineConfig, String> {
+    let workers = ballerino_bench::threads();
+    let shard = match std::env::var("BALLERINO_SHARD") {
+        Ok(s) if !s.trim().is_empty() => Shard::parse(&s)?,
+        _ => Shard::single(),
+    };
+    Ok(EngineConfig {
+        workers,
+        mailbox_cap: 2 * workers.max(1),
+        max_attempts: 3,
+        backoff_ms: 10,
+        shard,
+        halt_after: None,
+    })
+}
+
 fn merge_mode(paths: &[PathBuf]) -> ! {
     let mut sets = Vec::new();
     for p in paths {
@@ -138,7 +157,7 @@ fn main() {
         spec.mode = CampaignMode::Sweep;
     }
 
-    let mut cfg = EngineConfig::from_env().unwrap_or_else(|e| {
+    let mut cfg = engine_config().unwrap_or_else(|e| {
         eprintln!("serve_bench: {e}");
         std::process::exit(1);
     });

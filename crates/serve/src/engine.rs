@@ -4,7 +4,7 @@
 //! [`CellRecord`]s on a fixed pool of worker threads, with the
 //! service-shaped machinery a long campaign needs:
 //!
-//! * **Sharding** — `BALLERINO_SHARD=i/n` keeps only the cells whose
+//! * **Sharding** — a [`Shard`] `i/n` keeps only the cells whose
 //!   stable FNV-1a key hash satisfies `hash % n == i`. Every shard
 //!   derives its subset independently from the spec; the subsets
 //!   partition the campaign exactly, so `n` processes on `n` machines
@@ -80,14 +80,6 @@ impl Shard {
         Ok(Shard { index, count })
     }
 
-    /// The shard from `BALLERINO_SHARD` (unset or empty = single).
-    pub fn from_env() -> Result<Shard, String> {
-        match std::env::var("BALLERINO_SHARD") {
-            Ok(s) if !s.trim().is_empty() => Shard::parse(&s),
-            _ => Ok(Shard::single()),
-        }
-    }
-
     /// Whether this shard owns `cell`. A pure function of the cell key,
     /// so every process agrees without coordination.
     pub fn owns(&self, cell: &SimCell) -> bool {
@@ -95,8 +87,8 @@ impl Shard {
     }
 }
 
-/// Engine tuning knobs. [`EngineConfig::from_env`] is the service
-/// default; tests construct configs directly.
+/// Engine tuning knobs. The caller resolves them; `serve_bench` builds
+/// the service defaults from its environment.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Worker threads.
@@ -112,28 +104,6 @@ pub struct EngineConfig {
     /// Crash injection for tests/CI: stop dispatching after this many
     /// newly-executed cells (journaled work keeps its records).
     pub halt_after: Option<usize>,
-}
-
-impl EngineConfig {
-    /// The service defaults: `BALLERINO_THREADS` workers, a mailbox of
-    /// 2× workers (`BALLERINO_SERVE_MAILBOX`), 2 retries
-    /// (`BALLERINO_SERVE_RETRIES`), 10 ms base backoff
-    /// (`BALLERINO_SERVE_BACKOFF_MS`), shard from `BALLERINO_SHARD`.
-    pub fn from_env() -> Result<EngineConfig, String> {
-        let workers = ballerino_bench::threads();
-        let env_num =
-            |name: &str| -> Option<u64> { std::env::var(name).ok().and_then(|s| s.parse().ok()) };
-        Ok(EngineConfig {
-            workers,
-            mailbox_cap: env_num("BALLERINO_SERVE_MAILBOX")
-                .map(|v| v.max(1) as usize)
-                .unwrap_or(2 * workers.max(1)),
-            max_attempts: 1 + env_num("BALLERINO_SERVE_RETRIES").unwrap_or(2) as usize,
-            backoff_ms: env_num("BALLERINO_SERVE_BACKOFF_MS").unwrap_or(10),
-            shard: Shard::from_env()?,
-            halt_after: None,
-        })
-    }
 }
 
 /// What a campaign run produced.

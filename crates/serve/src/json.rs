@@ -70,11 +70,17 @@ impl Json {
     }
 }
 
-/// Parses one JSON document; trailing non-whitespace is an error.
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so an unbounded depth would let a hostile document
+/// overflow the stack; specs and journal lines nest a few levels deep.
+pub const MAX_DEPTH: usize = 64;
+
+/// Parses one JSON document; trailing non-whitespace and nesting deeper
+/// than [`MAX_DEPTH`] are errors.
 pub fn parse(text: &str) -> Result<Json, String> {
     let bytes = text.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing garbage at byte {pos}"));
@@ -116,11 +122,16 @@ fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parses the value at `pos`, which sits inside `depth` open arrays or
+/// objects.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(b, pos);
     match b.get(*pos) {
-        Some(b'{') => parse_obj(b, pos),
-        Some(b'[') => parse_arr(b, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {pos}"
+        )),
+        Some(b'{') => parse_obj(b, pos, depth + 1),
+        Some(b'[') => parse_arr(b, pos, depth + 1),
         Some(b'"') => Ok(Json::Str(parse_string(b, pos)?)),
         Some(b't') => parse_lit(b, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(b, pos, "false", Json::Bool(false)),
@@ -203,7 +214,7 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
     }
 }
 
-fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_arr(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(b, pos, b'[')?;
     let mut v = Vec::new();
     skip_ws(b, pos);
@@ -212,7 +223,7 @@ fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(v));
     }
     loop {
-        v.push(parse_value(b, pos)?);
+        v.push(parse_value(b, pos, depth)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -225,7 +236,7 @@ fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_obj(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(b, pos, b'{')?;
     let mut fields = Vec::new();
     skip_ws(b, pos);
@@ -238,7 +249,7 @@ fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Json, String> {
         let key = parse_string(b, pos)?;
         skip_ws(b, pos);
         expect(b, pos, b':')?;
-        let value = parse_value(b, pos)?;
+        let value = parse_value(b, pos, depth)?;
         fields.push((key, value));
         skip_ws(b, pos);
         match b.get(*pos) {
@@ -280,6 +291,11 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("12 34").is_err());
         assert!(parse("'single'").is_err());
+        // A million nested arrays: an error, not a stack overflow.
+        assert!(parse(&"[".repeat(1_000_000)).is_err());
+        let nested = |d: usize| format!("{}{}", "[".repeat(d), "]".repeat(d));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        assert!(parse(&nested(MAX_DEPTH + 1)).is_err());
     }
 
     #[test]

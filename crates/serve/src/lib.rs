@@ -17,9 +17,9 @@
 //!   complete),
 //! * **checkpoint/resume** (an append-only journal; restart replays it
 //!   and runs only the missing cells),
-//! * horizontal **sharding** (`BALLERINO_SHARD=i/n` partitions cells by
+//! * horizontal **sharding** (a [`Shard`] `i/n` partitions cells by
 //!   stable FNV-1a key hash — processes coordinate through the spec
-//!   alone).
+//!   alone; `serve_bench` reads it from `BALLERINO_SHARD`).
 //!
 //! The determinism contract, pinned by `tests/determinism.rs` and the
 //! CI serve-smoke job: the merged, key-sorted record set of a campaign

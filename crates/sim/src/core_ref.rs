@@ -19,7 +19,11 @@
 //!
 //! Only the adaptations needed to share today's interfaces were made
 //! (the scheduler contract takes [`HeldSet`] and [`SimResult`] carries
-//! `host_wall_s`); the data layout is the seed's.
+//! `host_wall_s`); the data layout is the seed's. Its memory is the
+//! seed-exact [`Hierarchy::with_naive_lookup`], and
+//! [`run_machine_reference`](crate::run_machine_reference) pairs it with
+//! the schedulers' seed select/wakeup/issue paths, so the reference side
+//! is the whole seed pipeline.
 
 use crate::config::CoreConfig;
 use crate::stats::{SimResult, TimingBreakdown, TimingClass};
@@ -109,7 +113,7 @@ impl CoreRef {
     pub fn new(cfg: CoreConfig, sched: Box<dyn Scheduler>, sizes: StructureSizes) -> Self {
         let renamer = Renamer::new(cfg.int_regs, cfg.fp_regs);
         let scb = Scoreboard::new(renamer.total_phys());
-        let hier = Hierarchy::new(&cfg.mem);
+        let hier = Hierarchy::with_naive_lookup(&cfg.mem);
         let lq = LoadQueue::new(cfg.lq_entries);
         let sq = StoreQueue::new(cfg.sq_entries);
         let mdp = if cfg.use_mdp {

@@ -214,9 +214,10 @@ pub fn build_scheduler_point(
     build_scheduler_inner(point, false)
 }
 
-/// `reference = true` freezes the seed's allocation-heavy select/issue
-/// paths inside the OoO and Ballerino schedulers (identical grant
-/// decisions) for the `perf_smoke` throughput A/B.
+/// `reference = true` freezes the seed's select/wakeup/issue paths
+/// inside the OoO, LDT and Ballerino schedulers (identical grant
+/// decisions) for the [`CoreRef`](crate::core_ref::CoreRef) reference
+/// pipeline.
 fn build_scheduler_inner(
     point: &DesignPoint,
     reference: bool,
@@ -228,11 +229,6 @@ fn build_scheduler_inner(
     };
     if kind == MachineKind::OutOfOrderNoMdp {
         cfg.use_mdp = false;
-    }
-    // Dev knob for throughput A/Bs of the event-horizon engine itself;
-    // results are identical either way (see tests/skip_equivalence.rs).
-    if ballerino_isa::env_flag("BALLERINO_NO_SKIP") {
-        cfg.skip_idle = false;
     }
     if point.dram_scale_pct != 100 {
         let scale = |x: u64| ((x * point.dram_scale_pct as u64) / 100).max(1);
@@ -443,10 +439,13 @@ fn build_scheduler_inner(
             )
         }
         MachineKind::Ldt => {
-            let iq = Ldt::new(LdtConfig {
+            let mut iq = Ldt::new(LdtConfig {
                 entries,
                 num_phys_regs: phys,
             });
+            if reference {
+                iq = iq.with_broadcast_wakeup();
+            }
             (
                 Box::new(iq),
                 StructureSizes {

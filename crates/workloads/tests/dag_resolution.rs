@@ -4,9 +4,8 @@
 //! pipeline would discover incrementally at rename time. These tests
 //! re-derive the dependence structure with an **independent oracle** — a
 //! per-op backward scan over program order, the textbook definition of
-//! "youngest older producer" — and check the pre-resolved edges,
-//! inverted consumer lists, latencies, port classes, and line-cross
-//! flags against it, over both real workload traces and fully
+//! "youngest older producer" — and check the pre-resolved producer edges,
+//! classes, latencies, port classes, and line-cross flags against it, over both real workload traces and fully
 //! randomized μop streams.
 
 use ballerino_isa::rng::Rng64;
@@ -28,7 +27,6 @@ fn oracle_producer(trace: &Trace, idx: usize, slot: usize) -> Option<u32> {
 
 fn check_dag_matches_oracle(trace: &Trace, dag: &TraceDag) {
     assert_eq!(dag.len(), trace.len());
-    let mut oracle_edges = Vec::new();
     let mut prev_line = u64::MAX;
     for idx in 0..trace.len() {
         let op = &trace.ops[idx];
@@ -40,9 +38,6 @@ fn check_dag_matches_oracle(trace: &Trace, dag: &TraceDag) {
                 "{}: op {idx} slot {slot} producer",
                 trace.name
             );
-            if let Some(p) = expect {
-                oracle_edges.push((p, idx as u32));
-            }
         }
         assert_eq!(dop.class, op.class);
         assert_eq!(dop.exec_latency, op.class.exec_latency());
@@ -52,8 +47,6 @@ fn check_dag_matches_oracle(trace: &Trace, dag: &TraceDag) {
             "{}: op {idx} port class",
             trace.name
         );
-        assert_eq!(dop.num_srcs as usize, op.num_srcs());
-        assert_eq!(dop.has_dst, op.dst.is_some());
         let line = op.pc / ICACHE_LINE_BYTES;
         assert_eq!(
             dop.line_cross,
@@ -63,22 +56,6 @@ fn check_dag_matches_oracle(trace: &Trace, dag: &TraceDag) {
         );
         prev_line = line;
     }
-    // The CSR consumer lists must be exactly the oracle edge set,
-    // ascending within each producer row.
-    let mut dag_edges = Vec::new();
-    for p in 0..dag.len() {
-        let row = dag.consumers_of(p);
-        for w in row.windows(2) {
-            assert!(w[0] <= w[1], "consumer row {p} not ascending");
-        }
-        for &c in row {
-            dag_edges.push((p as u32, c));
-        }
-    }
-    oracle_edges.sort_unstable();
-    dag_edges.sort_unstable();
-    assert_eq!(dag_edges, oracle_edges, "{}: edge sets differ", trace.name);
-    assert_eq!(dag.num_edges(), oracle_edges.len());
 }
 
 /// Fully random μop stream: random classes, register slots, pcs (so
@@ -154,10 +131,5 @@ fn cached_dag_equals_direct_resolution() {
     let cache = TraceCache::new();
     let cached = cache.dag("gemm_blocked", 600, 7);
     let direct = TraceDag::resolve(&cache.get("gemm_blocked", 600, 7));
-    assert_eq!(cached.len(), direct.len());
-    assert_eq!(cached.num_edges(), direct.num_edges());
-    for idx in 0..direct.len() {
-        assert_eq!(cached.op(idx), direct.op(idx));
-        assert_eq!(cached.consumers_of(idx), direct.consumers_of(idx));
-    }
+    assert_eq!(cached.ops(), direct.ops());
 }
