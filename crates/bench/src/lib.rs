@@ -58,6 +58,7 @@
 #![warn(missing_docs)]
 
 pub mod cells;
+pub mod golden;
 pub mod provenance;
 pub mod sweep;
 
