@@ -1,8 +1,9 @@
 //! # ballerino-bench
 //!
 //! The experiment harness: one binary per table/figure of the paper's
-//! evaluation (see DESIGN.md §3 for the index), plus Criterion
-//! micro-benchmarks of the library itself.
+//! evaluation (see DESIGN.md §3 for the index), the golden `SimResult`
+//! digest ([`golden`]), and std-only micro-benchmarks of the library
+//! itself (`benches/`, plain `harness = false` binaries).
 //!
 //! All binaries honor three environment variables:
 //!

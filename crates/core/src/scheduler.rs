@@ -5,7 +5,7 @@
 use crate::piq::{PartId, Piq};
 use ballerino_isa::{PhysReg, MAX_PORTS};
 use ballerino_sched::{
-    DelayTable, DispatchOutcome, HeadState, HeadStateStats, IssueBreakdown, LocTable, PortAlloc,
+    DelayTracker, DispatchOutcome, HeadState, HeadStateStats, IssueBreakdown, LocTable, PortAlloc,
     ReadyCtx, SchedEnergyEvents, SchedUop, Scheduler, StallReason, SteerEvent, SteerStats,
     WakeFabric, WakeState,
 };
@@ -153,9 +153,48 @@ fn decode_loc(loc: u16) -> (usize, PartId) {
     ((loc / 2) as usize, PartId((loc % 2) as u8))
 }
 
-/// Initial load-delay estimate before any observation (LDT mode;
-/// matches `ballerino_sched::ldt`).
-const INITIAL_TRACKED_DELAY: u64 = 4;
+/// Where `steer` places a μop.
+#[derive(Debug, Clone, Copy)]
+enum SteerTarget {
+    /// Behind the tail of a partition (LDT, MDA or P-SCB dependence
+    /// steering), reserving what it joined.
+    Chain(usize, PartId, Reserve),
+    /// A new dependence head.
+    Alloc(AllocTarget),
+}
+
+/// What a chain steer reserves.
+#[derive(Debug, Clone, Copy)]
+enum Reserve {
+    /// Nothing (LDT steering).
+    Nothing,
+    /// The LFST-steer entry of this store set (MDA steering).
+    Lfst(usize),
+    /// The winning source's P-SCB entry (dependence steering).
+    Src(PhysReg),
+}
+
+/// Where a new dependence head goes.
+#[derive(Debug, Clone, Copy)]
+struct AllocTarget {
+    piq: usize,
+    part: PartId,
+    /// The P-IQ enters sharing mode to host it (Step 3).
+    share: bool,
+}
+
+/// A steering decision plus the table reads its walk makes, which are
+/// charged whether or not a target is found.
+#[derive(Debug, Clone, Copy, Default)]
+struct SteerPlan {
+    target: Option<SteerTarget>,
+    /// LFST-steer read (MDA steering, only when an entry exists).
+    lfst_reads: u64,
+    /// P-SCB reads (one per source on the dependence walk).
+    loc_reads: u64,
+    /// Delay-table reads (LDT steering, one per source).
+    dt_reads: u64,
+}
 
 /// Per-cycle shape of an idle S-IQ window walk (see
 /// `Ballerino::idle_window_shape`).
@@ -177,13 +216,9 @@ pub struct Ballerino {
     /// P-SCB producer-location extension.
     loc: LocTable,
     lfst_steer: Vec<Option<LfstSteer>>,
-    /// Predicted-ready-cycle table for LDT steering (only mutated when
+    /// Load-delay tracker for LDT steering (only mutated when
     /// `cfg.ldt_steering`; its access counters fold into the P-SCB's).
-    dt: DelayTable,
-    /// Running load-delay estimate (LDT mode).
-    tracked_delay: u64,
-    /// Issued loads awaiting delay observation (LDT mode).
-    inflight: VecDeque<(PhysReg, u64)>,
+    delays: DelayTracker,
     energy: SchedEnergyEvents,
     steer: SteerStats,
     heads: HeadStateStats,
@@ -205,7 +240,7 @@ impl Ballerino {
             .collect();
         let loc = LocTable::new(cfg.num_phys_regs);
         let lfst_steer = vec![None; cfg.num_ssids];
-        let dt = DelayTable::new(cfg.num_phys_regs);
+        let delays = DelayTracker::new(cfg.num_phys_regs);
         let mut name = format!("ballerino-{}", cfg.num_piqs + 1);
         if cfg.ldt_steering {
             name.push_str("-ldt");
@@ -222,9 +257,7 @@ impl Ballerino {
             siq: VecDeque::new(),
             loc,
             lfst_steer,
-            dt,
-            tracked_delay: INITIAL_TRACKED_DELAY,
-            inflight: VecDeque::new(),
+            delays,
             energy: SchedEnergyEvents::default(),
             steer: SteerStats::default(),
             heads: HeadStateStats::default(),
@@ -288,13 +321,15 @@ impl Ballerino {
     /// an unordered FIFO lets the globally oldest unissued μop sit behind
     /// younger entries whose producers wait behind it in another queue
     /// (a cross-queue dependence cycle that live-locks the machine).
-    fn ldt_target(&mut self, uop: &SchedUop) -> Option<(usize, PartId)> {
+    fn ldt_target(&self, uop: &SchedUop, plan: &mut SteerPlan) -> Option<SteerTarget> {
         if !self.cfg.ldt_steering || !(uop.is_load() || uop.is_store()) {
             return None;
         }
+        let dt = &self.delays.table;
         let mut pred = 0u64;
         for src in uop.srcs.iter().flatten() {
-            pred = pred.max(self.dt.predicted_ready(*src));
+            plan.dt_reads += 1;
+            pred = pred.max(dt.peek(*src));
         }
         let mut best: Option<(u64, usize, PartId)> = None;
         for (k, q) in self.piqs.iter().enumerate() {
@@ -307,7 +342,7 @@ impl Ballerino {
                     continue;
                 }
                 let Some(d) = tail.dst else { continue };
-                let tp = self.dt.peek(d);
+                let tp = dt.peek(d);
                 if tp == 0 || tp > pred {
                     continue;
                 }
@@ -318,73 +353,31 @@ impl Ballerino {
                 }
             }
         }
-        best.map(|(_, k, p)| (k, p))
-    }
-
-    /// Read-only replica of a successful `ldt_target`.
-    fn ldt_would_target(&self, uop: &SchedUop) -> bool {
-        if !self.cfg.ldt_steering || !(uop.is_load() || uop.is_store()) {
-            return false;
-        }
-        let mut pred = 0u64;
-        for src in uop.srcs.iter().flatten() {
-            pred = pred.max(self.dt.peek(*src));
-        }
-        self.piqs.iter().any(|q| {
-            [PartId(0), PartId(1)].into_iter().any(|part| {
-                q.can_push(part)
-                    && q.back(part)
-                        .filter(|tail| tail.seq < uop.seq)
-                        .and_then(|tail| tail.dst)
-                        .map(|d| {
-                            let tp = self.dt.peek(d);
-                            tp != 0 && tp <= pred
-                        })
-                        .unwrap_or(false)
-            })
-        })
-    }
-
-    /// Queues a just-issued load for delay observation (LDT mode).
-    fn note_ldt_issue(&mut self, u: &SchedUop, cycle: u64) {
-        if self.cfg.ldt_steering && u.is_load() {
-            if let Some(d) = u.dst {
-                self.inflight.push_back((d, cycle));
-            }
-        }
-    }
-
-    /// Folds completed load observations into the running delay
-    /// estimate (LDT mode; see `ballerino_sched::ldt`). The scoreboard
-    /// publishes a load's completion cycle the same cycle it issues, so
-    /// the queue fully drains at the next scheduler activity.
-    fn observe_loads(&mut self, ctx: &ReadyCtx<'_>) {
-        while let Some(&(dst, issued_at)) = self.inflight.front() {
-            self.inflight.pop_front();
-            let rc = ctx.scb.ready_cycle(dst);
-            if rc == u64::MAX {
-                continue; // reallocated before observation; no sample
-            }
-            let observed = rc.saturating_sub(issued_at);
-            self.tracked_delay = ((3 * self.tracked_delay + observed) / 4).max(1);
-            self.energy.loc_writes += 1; // delay-estimate register update
-        }
+        best.map(|(_, k, p)| SteerTarget::Chain(k, p, Reserve::Nothing))
     }
 
     /// Current load-delay estimate (LDT mode; tests/diagnostics).
     pub fn tracked_delay(&self) -> u64 {
-        self.tracked_delay
+        self.delays.delay()
+    }
+
+    /// Queues a just-issued load for delay observation (LDT mode).
+    fn note_ldt_issue(&mut self, u: &SchedUop, cycle: u64) {
+        if self.cfg.ldt_steering {
+            self.delays.note_issue(u, cycle);
+        }
     }
 
     /// MDA steering target (§III-B): the partition whose tail is the
-    /// μop's predicted producer store.
-    fn mda_target(&mut self, uop: &SchedUop) -> Option<(usize, PartId)> {
+    /// μop's predicted producer store. The LFST-steer read is charged
+    /// only when an entry exists.
+    fn mda_target(&self, uop: &SchedUop, plan: &mut SteerPlan) -> Option<SteerTarget> {
         if !self.cfg.mda_steering || !(uop.is_load() || uop.is_store()) {
             return None;
         }
-        let ssid = uop.ssid?;
-        let e = self.lfst_steer[ssid.0 as usize]?;
-        self.energy.loc_reads += 1;
+        let ssid = uop.ssid?.0 as usize;
+        let e = self.lfst_steer[ssid]?;
+        plan.lfst_reads += 1;
         if e.reserved {
             return None;
         }
@@ -393,24 +386,17 @@ impl Ballerino {
             .back(part)
             .map(|b| b.seq == e.store_seq)
             .unwrap_or(false);
-        if at_tail && self.piqs[k].can_push(part) {
-            self.lfst_steer[ssid.0 as usize]
-                .as_mut()
-                .expect("checked")
-                .reserved = true;
-            self.energy.loc_writes += 1;
-            Some((k, part))
-        } else {
-            None
-        }
+        (at_tail && self.piqs[k].can_push(part))
+            .then_some(SteerTarget::Chain(k, part, Reserve::Lfst(ssid)))
     }
 
     /// R-dependence steering target: the partition holding a producer at
     /// its tail; with two candidates the younger producer's chain wins.
-    fn rdep_target(&mut self, uop: &SchedUop) -> Option<(usize, PartId, PhysReg)> {
+    fn rdep_target(&self, uop: &SchedUop, plan: &mut SteerPlan) -> Option<SteerTarget> {
         let mut best: Option<(usize, PartId, PhysReg, u64)> = None;
         for src in uop.srcs.iter().flatten() {
-            let e = self.loc.get(*src);
+            plan.loc_reads += 1;
+            let e = self.loc.peek(*src);
             let Some(enc) = e.iq_index else { continue };
             if e.reserved {
                 continue;
@@ -428,131 +414,112 @@ impl Ballerino {
                 best = Some((k, part, *src, tail_seq));
             }
         }
-        best.map(|(k, p, src, _)| (k, p, src))
+        best.map(|(k, p, src, _)| SteerTarget::Chain(k, p, Reserve::Src(src)))
     }
 
     /// Allocation target for a new dependence head: an empty P-IQ, an
     /// empty partition of a shared P-IQ, or (Step 3) a freshly shared
     /// partition of an eligible P-IQ.
-    fn alloc_target(&mut self) -> Option<(usize, PartId)> {
+    fn alloc_target(&self) -> Option<AllocTarget> {
+        let at = |piq, part, share| AllocTarget { piq, part, share };
         if let Some(k) = self
             .piqs
             .iter()
             .position(|q| q.is_empty() && !q.is_shared())
         {
-            return Some((k, PartId(0)));
+            return Some(at(k, PartId(0), false));
         }
         for (k, q) in self.piqs.iter().enumerate() {
             if let Some(p) = q.empty_partition() {
-                return Some((k, p));
+                return Some(at(k, p, false));
             }
         }
         if self.cfg.piq_sharing {
             if let Some(k) = self.piqs.iter().position(|q| q.shareable()) {
-                let p = self.piqs[k].activate_sharing();
-                self.sharing_activations += 1;
-                return Some((k, p));
+                // Activation hands the new chain partition 1.
+                return Some(at(k, PartId(1), true));
             }
         }
         None
     }
 
+    /// The steering decision for one non-ready μop leaving the S-IQ
+    /// window: LDT, then MDA, then P-SCB dependence steering, then a new
+    /// head, stopping at the first target. Both the live `steer` and the
+    /// quiesce probes (`idle_window_shape`, `note_idle_cycles`) use it.
+    fn plan_steer(&self, uop: &SchedUop) -> SteerPlan {
+        let mut plan = SteerPlan::default();
+        plan.target = self.ldt_target(uop, &mut plan);
+        if plan.target.is_none() {
+            plan.target = self.mda_target(uop, &mut plan);
+        }
+        if plan.target.is_none() {
+            plan.target = self.rdep_target(uop, &mut plan);
+        }
+        if plan.target.is_none() {
+            plan.target = self.alloc_target().map(SteerTarget::Alloc);
+        }
+        plan
+    }
+
+    /// Charges `times` steering attempts that each make `plan`'s walk.
+    fn charge(&mut self, plan: &SteerPlan, times: u64) {
+        self.energy.steer_ops += times;
+        self.energy.loc_reads += times * plan.lfst_reads;
+        self.loc.reads += times * plan.loc_reads;
+        self.delays.table.reads += times * plan.dt_reads;
+    }
+
+    /// Places a new dependence head, activating sharing if planned.
+    /// `unshared` is the steer event recorded unless the P-IQ is shared.
+    fn push_alloc(&mut self, a: AllocTarget, uop: SchedUop, unshared: SteerEvent) {
+        if a.share {
+            let part = self.piqs[a.piq].activate_sharing();
+            debug_assert_eq!(part, a.part);
+            self.sharing_activations += 1;
+        }
+        self.steer.record(if self.piqs[a.piq].is_shared() {
+            SteerEvent::SteerShared
+        } else {
+            unshared
+        });
+        self.push_tracked(a.piq, a.part, uop);
+    }
+
     /// Steers one non-ready μop out of the S-IQ window. Returns whether a
     /// P-IQ accepted it.
     fn steer(&mut self, uop: &SchedUop) -> bool {
+        let plan = self.plan_steer(uop);
+        self.charge(&plan, 1);
+        match plan.target {
+            None => return false,
+            Some(SteerTarget::Chain(k, part, reserve)) => {
+                match reserve {
+                    Reserve::Nothing => {}
+                    Reserve::Lfst(ssid) => {
+                        self.lfst_steer[ssid].as_mut().expect("planned").reserved = true;
+                        self.energy.loc_writes += 1;
+                    }
+                    Reserve::Src(src) => self.loc.reserve(src),
+                }
+                self.steer.record(SteerEvent::SteerDc);
+                self.push_tracked(k, part, *uop);
+            }
+            Some(SteerTarget::Alloc(a)) => self.push_alloc(a, *uop, SteerEvent::AllocNonReady),
+        }
+        true
+    }
+
+    /// Ready but port-denied (§IV-C case 3): steers the μop to a new
+    /// P-IQ head, where it is re-examined next cycle. Returns whether a
+    /// queue took it; with none free it simply stays in the S-IQ.
+    fn steer_port_denied(&mut self, uop: SchedUop) -> bool {
         self.energy.steer_ops += 1;
-        if let Some((k, part)) = self.ldt_target(uop) {
-            self.steer.record(SteerEvent::SteerDc);
-            self.push_tracked(k, part, *uop);
-            return true;
-        }
-        if let Some((k, part)) = self.mda_target(uop) {
-            self.steer.record(SteerEvent::SteerDc);
-            self.push_tracked(k, part, *uop);
-            return true;
-        }
-        if let Some((k, part, src)) = self.rdep_target(uop) {
-            self.loc.reserve(src);
-            self.steer.record(SteerEvent::SteerDc);
-            self.push_tracked(k, part, *uop);
-            return true;
-        }
-        if let Some((k, part)) = self.alloc_target() {
-            let shared = self.piqs[k].is_shared();
-            self.steer.record(if shared {
-                SteerEvent::SteerShared
-            } else {
-                SteerEvent::AllocNonReady
-            });
-            self.push_tracked(k, part, *uop);
-            return true;
-        }
-        false
-    }
-
-    /// Read-only replica of `mda_target`'s table-read charge condition:
-    /// the LFST-steer read is only counted once an entry is present.
-    fn mda_probe_charges(&self, uop: &SchedUop) -> bool {
-        self.cfg.mda_steering
-            && (uop.is_load() || uop.is_store())
-            && uop
-                .ssid
-                .map(|s| self.lfst_steer[s.0 as usize].is_some())
-                .unwrap_or(false)
-    }
-
-    /// Read-only replica of a successful `mda_target`.
-    fn mda_would_target(&self, uop: &SchedUop) -> bool {
-        if !self.cfg.mda_steering || !(uop.is_load() || uop.is_store()) {
-            return false;
-        }
-        let Some(ssid) = uop.ssid else { return false };
-        let Some(e) = self.lfst_steer[ssid.0 as usize] else {
+        let Some(a) = self.alloc_target() else {
             return false;
         };
-        if e.reserved {
-            return false;
-        }
-        let (k, part) = (e.piq as usize, PartId(e.part));
-        self.piqs[k]
-            .back(part)
-            .map(|b| b.seq == e.store_seq)
-            .unwrap_or(false)
-            && self.piqs[k].can_push(part)
-    }
-
-    /// Read-only replica of a successful `rdep_target`.
-    fn rdep_would_target(&self, uop: &SchedUop) -> bool {
-        for src in uop.srcs.iter().flatten() {
-            let e = self.loc.peek(*src);
-            let Some(enc) = e.iq_index else { continue };
-            if e.reserved {
-                continue;
-            }
-            let (k, part) = decode_loc(enc);
-            if self.piqs[k].can_push(part) && self.piqs[k].back(part).is_some() {
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Read-only replica of a successful `alloc_target` (including a
-    /// Step-3 sharing activation).
-    fn alloc_would_target(&self) -> bool {
-        self.piqs
-            .iter()
-            .any(|q| (q.is_empty() && !q.is_shared()) || q.empty_partition().is_some())
-            || (self.cfg.piq_sharing && self.piqs.iter().any(|q| q.shareable()))
-    }
-
-    /// Whether `steer` would move `uop` into a P-IQ, without mutating
-    /// any steering state.
-    fn would_steer(&self, uop: &SchedUop) -> bool {
-        self.ldt_would_target(uop)
-            || self.mda_would_target(uop)
-            || self.rdep_would_target(uop)
-            || self.alloc_would_target()
+        self.push_alloc(a, uop, SteerEvent::AllocReady);
+        true
     }
 
     /// Walks the S-IQ window exactly as an issue-free `issue` call would,
@@ -608,7 +575,7 @@ impl Ballerino {
                     horizon = horizon.min(far_rc_max - self.cfg.spec_horizon);
                 }
             }
-            if self.would_steer(u) {
+            if self.plan_steer(u).target.is_some() {
                 return None; // steering would move it to a P-IQ
             }
             return Some(IdleWindow {
@@ -733,21 +700,8 @@ impl Ballerino {
                     note_issue(&u, &mut just_issued);
                     out.push(u.seq);
                     remove.push(i);
-                } else {
-                    // Ready but port-denied (§IV-C case 3): steer to a new
-                    // P-IQ head; re-examined there next cycle.
-                    self.energy.steer_ops += 1;
-                    if let Some((k, part)) = self.alloc_target() {
-                        let shared = self.piqs[k].is_shared();
-                        self.steer.record(if shared {
-                            SteerEvent::SteerShared
-                        } else {
-                            SteerEvent::AllocReady
-                        });
-                        self.push_tracked(k, part, u);
-                        remove.push(i);
-                    }
-                    // No free queue: it simply stays in the S-IQ.
+                } else if self.steer_port_denied(u) {
+                    remove.push(i);
                 }
                 continue;
             }
@@ -808,18 +762,7 @@ impl Scheduler for Ballerino {
             // Annotate the dependence chain with predicted ready cycles
             // (after the full-check: refused dispatches touch nothing,
             // which the quiesce replay relies on).
-            let mut pred = ctx.cycle;
-            for src in uop.srcs.iter().flatten() {
-                pred = pred.max(self.dt.predicted_ready(*src));
-            }
-            if let Some(d) = uop.dst {
-                let lat = if uop.is_load() {
-                    self.tracked_delay
-                } else {
-                    uop.class.exec_latency() as u64
-                };
-                self.dt.set_predicted(d, pred + lat);
-            }
+            self.delays.annotate(&uop, ctx.cycle);
         }
         self.energy.queue_writes += 1;
         self.fabric.insert(&uop, 0, ctx);
@@ -829,7 +772,7 @@ impl Scheduler for Ballerino {
 
     fn issue(&mut self, ctx: &ReadyCtx<'_>, ports: &mut PortAlloc<'_>, out: &mut Vec<u64>) {
         if self.cfg.ldt_steering {
-            self.observe_loads(ctx);
+            self.delays.observe(ctx.scb);
         }
         if self.reference_issue {
             return self.issue_reference(ctx, ports, out);
@@ -923,22 +866,9 @@ impl Scheduler for Ballerino {
                     note_issue(&u, &mut just_issued, &mut n_issued);
                     out.push(u.seq);
                     remove_mask |= 1 << i;
-                } else {
-                    // Ready but port-denied (§IV-C case 3): steer to a new
-                    // P-IQ head; re-examined there next cycle. Its fabric
-                    // entry follows the seq, untouched.
-                    self.energy.steer_ops += 1;
-                    if let Some((k, part)) = self.alloc_target() {
-                        let shared = self.piqs[k].is_shared();
-                        self.steer.record(if shared {
-                            SteerEvent::SteerShared
-                        } else {
-                            SteerEvent::AllocReady
-                        });
-                        self.push_tracked(k, part, u);
-                        remove_mask |= 1 << i;
-                    }
-                    // No free queue: it simply stays in the S-IQ.
+                } else if self.steer_port_denied(u) {
+                    // Its fabric entry follows the seq, untouched.
+                    remove_mask |= 1 << i;
                 }
                 continue;
             }
@@ -992,7 +922,7 @@ impl Scheduler for Ballerino {
         self.loc.clear(dst);
         if self.cfg.ldt_steering {
             // The value exists: its delay prediction is spent.
-            self.dt.clear(dst);
+            self.delays.table.clear(dst);
         }
         self.fabric.on_complete(dst);
     }
@@ -1009,11 +939,7 @@ impl Scheduler for Ballerino {
             self.loc.clear(*d);
         }
         if self.cfg.ldt_steering {
-            for d in flushed_dests {
-                self.dt.clear(*d);
-            }
-            // Squashed issued loads must not contribute delay samples.
-            self.inflight.retain(|(d, _)| !flushed_dests.contains(d));
+            self.delays.flush(flushed_dests);
         }
         for e in &mut self.lfst_steer {
             if e.map(|s| s.store_seq > seq).unwrap_or(false) {
@@ -1032,8 +958,8 @@ impl Scheduler for Ballerino {
 
     fn energy_events(&self) -> SchedEnergyEvents {
         let mut e = self.energy;
-        e.loc_reads += self.loc.reads + self.dt.reads;
-        e.loc_writes += self.loc.writes + self.dt.writes;
+        e.loc_reads += self.loc.reads + self.delays.table.reads;
+        e.loc_writes += self.loc.writes + self.delays.table.writes;
         e
     }
 
@@ -1083,7 +1009,7 @@ impl Scheduler for Ballerino {
             // The first idle `issue` call would have drained the
             // observation queue; it cannot refill during an idle window,
             // so one drain replicates all k.
-            self.observe_loads(ctx);
+            self.delays.observe(ctx.scb);
         }
         // ---- 1. P-IQ heads: replay examinations, head-state records and
         //         the active-pointer toggle in closed form.
@@ -1157,24 +1083,15 @@ impl Scheduler for Ballerino {
             self.piqs[qi].end_idle_cycles(k);
         }
         // ---- 2. S-IQ window: lingering entries cost one examination
-        //         each; a failed-steer blocker re-probes the steering
-        //         tables every cycle.
+        //         each; a failed-steer blocker repeats its refused
+        //         steering walk every cycle.
         if let Some(shape) = self.idle_window_shape(ctx) {
             self.energy.head_examinations += k * shape.lingerers as u64;
             if shape.blocker {
-                let b = self.siq[shape.lingerers];
+                let plan = self.plan_steer(&self.siq[shape.lingerers]);
+                debug_assert!(plan.target.is_none(), "idle blocker would steer");
+                self.charge(&plan, k);
                 self.energy.head_examinations += k;
-                self.energy.steer_ops += k;
-                if self.mda_probe_charges(&b) {
-                    self.energy.loc_reads += k;
-                }
-                let n_srcs = b.srcs.iter().flatten().count() as u64;
-                if self.cfg.ldt_steering && (b.is_load() || b.is_store()) {
-                    // The failed `ldt_target` probe re-reads the delay
-                    // table for each source every cycle.
-                    self.dt.reads += k * n_srcs;
-                }
-                self.loc.reads += k * n_srcs;
                 self.steer.record_n(SteerEvent::StallNonReady, k);
             }
         }
@@ -1212,6 +1129,7 @@ mod tests {
     use super::*;
     use ballerino_isa::{OpClass, PortId};
     use ballerino_mem::SsId;
+    use ballerino_sched::ldt::INITIAL_TRACKED_DELAY;
     use ballerino_sched::{FuBusy, HeldSet, Scoreboard};
 
     fn op(seq: u64, dst: Option<u32>, srcs: [Option<u32>; 2]) -> SchedUop {

@@ -59,6 +59,30 @@ struct LfstSteer {
     store_seq: u64,
 }
 
+/// Where `try_dispatch` places a μop.
+#[derive(Debug, Clone, Copy)]
+enum Target {
+    /// Behind its predicted producer store (MDA steering), reserving the
+    /// store set's LFST-steer entry.
+    Mda(usize, usize),
+    /// Behind a register producer, reserving that source's P-SCB entry.
+    Rdep(usize, PhysReg),
+    /// A new dependence head in an empty P-IQ.
+    Alloc(usize),
+}
+
+/// A dispatch decision plus the table reads its steering walk makes,
+/// which are charged whether or not a queue accepts the μop.
+#[derive(Debug, Clone, Copy, Default)]
+struct DispatchPlan {
+    /// `None`: dispatch stalls for want of a free P-IQ.
+    target: Option<Target>,
+    /// LFST-steer read (MDA steering, only when an entry exists).
+    lfst_reads: u64,
+    /// P-SCB reads (one per source on the dependence walk).
+    loc_reads: u64,
+}
+
 /// The CES scheduler.
 #[derive(Debug)]
 pub struct Ces {
@@ -115,45 +139,39 @@ impl Ces {
 
     /// MDA steering target, if applicable: the P-IQ whose tail is the
     /// μop's predicted producer store.
-    fn mda_target(&mut self, uop: &SchedUop) -> Option<usize> {
+    fn mda_target(&self, uop: &SchedUop, plan: &mut DispatchPlan) -> Option<Target> {
         if !self.cfg.mda_steering {
             return None;
         }
-        let ssid = uop.ssid?;
+        let ssid = uop.ssid?.0 as usize;
         if !(uop.is_load() || uop.is_store()) {
             return None;
         }
-        let entry = self.lfst_steer[ssid.0 as usize]?;
-        self.energy.loc_reads += 1;
+        let entry = self.lfst_steer[ssid]?;
+        plan.lfst_reads += 1;
         if entry.reserved {
             return None;
         }
         let k = entry.piq as usize;
         // The producer store must still sit at the tail of that P-IQ.
-        if self.piqs[k]
+        let at_tail = self.piqs[k]
             .back()
             .map(|b| b.seq == entry.store_seq)
-            .unwrap_or(false)
-            && self.piqs[k].len() < self.cfg.piq_entries
-        {
-            self.lfst_steer[ssid.0 as usize]
-                .as_mut()
-                .expect("checked")
-                .reserved = true;
-            self.energy.loc_writes += 1;
-            Some(k)
-        } else {
-            None
-        }
+            .unwrap_or(false);
+        (at_tail && self.piqs[k].len() < self.cfg.piq_entries).then_some(Target::Mda(k, ssid))
     }
 
     /// Register-dependence steering target: the P-IQ holding the producer
-    /// of one of the μop's sources at its tail. With two candidates, the
-    /// one holding the *younger* producer wins (relative order, §IV-C).
-    fn rdep_target(&mut self, uop: &SchedUop) -> Option<usize> {
-        let mut best: Option<(usize, u64)> = None;
+    /// of one of the μop's sources at its tail (an empty queue counts, its
+    /// tail taken as seq 0). With two candidates, the one holding the
+    /// *younger* producer wins (relative order, §IV-C). The winner is the
+    /// first unreserved source pointing at its queue: an earlier such
+    /// source would tie and win.
+    fn rdep_target(&self, uop: &SchedUop, plan: &mut DispatchPlan) -> Option<Target> {
+        let mut best: Option<(usize, PhysReg, u64)> = None;
         for src in uop.srcs.iter().flatten() {
-            let e = self.loc.get(*src);
+            plan.loc_reads += 1;
+            let e = self.loc.peek(*src);
             let Some(k) = e.iq_index else { continue };
             if e.reserved {
                 continue; // chain split: producer already has a consumer
@@ -163,22 +181,34 @@ impl Ces {
                 continue; // case 3: full target
             }
             let tail_seq = self.piqs[k].back().map(|b| b.seq).unwrap_or(0);
-            if best.map(|(_, s)| tail_seq > s).unwrap_or(true) {
-                best = Some((k, tail_seq));
+            if best.map(|(_, _, s)| tail_seq > s).unwrap_or(true) {
+                best = Some((k, *src, tail_seq));
             }
         }
-        best.map(|(k, _)| k)
+        best.map(|(k, src, _)| Target::Rdep(k, src))
     }
 
-    fn reserve_src_of(&mut self, uop: &SchedUop, piq: usize) {
-        // Mark the producer whose queue we joined as reserved.
-        for src in uop.srcs.iter().flatten() {
-            let e = self.loc.peek(*src);
-            if e.iq_index == Some(piq as u16) && !e.reserved {
-                self.loc.reserve(*src);
-                break;
-            }
+    /// The dispatch decision: MDA steering (which overrides register
+    /// dependences, §III-B), then register-dependence steering, then an
+    /// empty P-IQ, else a stall. Both the live `try_dispatch` and the
+    /// quiesce probes use it.
+    fn plan(&self, uop: &SchedUop) -> DispatchPlan {
+        let mut plan = DispatchPlan::default();
+        plan.target = self.mda_target(uop, &mut plan);
+        if plan.target.is_none() {
+            plan.target = self.rdep_target(uop, &mut plan);
         }
+        if plan.target.is_none() {
+            plan.target = self.piqs.iter().position(|q| q.is_empty()).map(Target::Alloc);
+        }
+        plan
+    }
+
+    /// Charges `times` dispatch attempts that each make `plan`'s walk.
+    fn charge(&mut self, plan: &DispatchPlan, times: u64) {
+        self.energy.steer_ops += times;
+        self.energy.loc_reads += times * plan.lfst_reads;
+        self.loc.reads += times * plan.loc_reads;
     }
 
     fn record_store_lfst(&mut self, uop: &SchedUop, piq: usize) {
@@ -193,49 +223,6 @@ impl Ces {
             }
         }
     }
-
-    /// Whether the LFST-steer table would be probed for `uop` (the probe
-    /// charges a `loc_reads` whether or not the steer succeeds).
-    fn mda_probes(&self, uop: &SchedUop) -> bool {
-        self.cfg.mda_steering
-            && (uop.is_load() || uop.is_store())
-            && uop
-                .ssid
-                .map(|ssid| self.lfst_steer[ssid.0 as usize].is_some())
-                .unwrap_or(false)
-    }
-
-    /// Side-effect-free replica of the [`Ces::try_dispatch`] decision:
-    /// would `uop` be accepted this cycle?
-    fn would_accept(&self, uop: &SchedUop) -> bool {
-        // MDA steering target available?
-        if self.cfg.mda_steering && (uop.is_load() || uop.is_store()) {
-            if let Some(entry) = uop.ssid.and_then(|s| self.lfst_steer[s.0 as usize]) {
-                if !entry.reserved {
-                    let k = entry.piq as usize;
-                    if self.piqs[k]
-                        .back()
-                        .map(|b| b.seq == entry.store_seq)
-                        .unwrap_or(false)
-                        && self.piqs[k].len() < self.cfg.piq_entries
-                    {
-                        return true;
-                    }
-                }
-            }
-        }
-        // Register-dependence steering target available?
-        for src in uop.srcs.iter().flatten() {
-            let e = self.loc.peek(*src);
-            if let Some(k) = e.iq_index {
-                if !e.reserved && self.piqs[k as usize].len() < self.cfg.piq_entries {
-                    return true;
-                }
-            }
-        }
-        // An empty P-IQ to allocate?
-        self.piqs.iter().any(|q| q.is_empty())
-    }
 }
 
 impl Scheduler for Ces {
@@ -244,44 +231,41 @@ impl Scheduler for Ces {
     }
 
     fn try_dispatch(&mut self, uop: SchedUop, ctx: &ReadyCtx<'_>) -> DispatchOutcome {
-        self.energy.steer_ops += 1;
+        let plan = self.plan(&uop);
+        self.charge(&plan, 1);
         let ready = ctx.is_ready(&uop);
-
-        // MDA steering overrides register dependences (§III-B).
-        if let Some(k) = self.mda_target(&uop) {
-            self.steer.record(SteerEvent::SteerDc);
-            self.record_store_lfst(&uop, k);
-            self.push_and_track(k, uop, ctx);
-            return DispatchOutcome::Accepted;
-        }
-
-        // Register-dependence steering.
-        if let Some(k) = self.rdep_target(&uop) {
-            self.reserve_src_of(&uop, k);
-            self.steer.record(SteerEvent::SteerDc);
-            self.record_store_lfst(&uop, k);
-            self.push_and_track(k, uop, ctx);
-            return DispatchOutcome::Accepted;
-        }
-
-        // New dependence head: allocate an empty P-IQ.
-        if let Some(k) = self.piqs.iter().position(|q| q.is_empty()) {
-            self.steer.record(if ready {
-                SteerEvent::AllocReady
-            } else {
-                SteerEvent::AllocNonReady
-            });
-            self.record_store_lfst(&uop, k);
-            self.push_and_track(k, uop, ctx);
-            return DispatchOutcome::Accepted;
-        }
-
-        self.steer.record(if ready {
-            SteerEvent::StallReady
-        } else {
-            SteerEvent::StallNonReady
-        });
-        DispatchOutcome::Stall(StallReason::NoFreeQueue)
+        let k = match plan.target {
+            None => {
+                self.steer.record(if ready {
+                    SteerEvent::StallReady
+                } else {
+                    SteerEvent::StallNonReady
+                });
+                return DispatchOutcome::Stall(StallReason::NoFreeQueue);
+            }
+            Some(Target::Mda(k, ssid)) => {
+                self.lfst_steer[ssid].as_mut().expect("planned").reserved = true;
+                self.energy.loc_writes += 1;
+                self.steer.record(SteerEvent::SteerDc);
+                k
+            }
+            Some(Target::Rdep(k, src)) => {
+                self.loc.reserve(src);
+                self.steer.record(SteerEvent::SteerDc);
+                k
+            }
+            Some(Target::Alloc(k)) => {
+                self.steer.record(if ready {
+                    SteerEvent::AllocReady
+                } else {
+                    SteerEvent::AllocNonReady
+                });
+                k
+            }
+        };
+        self.record_store_lfst(&uop, k);
+        self.push_and_track(k, uop, ctx);
+        DispatchOutcome::Accepted
     }
 
     fn issue(&mut self, ctx: &ReadyCtx<'_>, ports: &mut PortAlloc<'_>, out: &mut Vec<u64>) {
@@ -402,7 +386,7 @@ impl Scheduler for Ces {
             }
         }
         if let Some(p) = pending {
-            if self.would_accept(p) {
+            if self.plan(p).target.is_some() {
                 return None;
             }
             // Refusal persists (steering state is frozen while idle), but
@@ -432,14 +416,12 @@ impl Scheduler for Ces {
             };
             self.heads.record_n(state, k);
         }
-        // `try_dispatch` side: each refused retry walks the same steering
-        // logic — LFST probe, one P-SCB read per source, stall record.
+        // `try_dispatch` side: each refused retry makes the same steering
+        // walk and records the same stall.
         if let Some(p) = pending {
-            self.energy.steer_ops += k;
-            if self.mda_probes(p) {
-                self.energy.loc_reads += k;
-            }
-            self.loc.reads += k * p.srcs.iter().flatten().count() as u64;
+            let plan = self.plan(p);
+            debug_assert!(plan.target.is_none(), "idle dispatch would be accepted");
+            self.charge(&plan, k);
             let stall = if ctx.is_ready(p) {
                 SteerEvent::StallReady
             } else {

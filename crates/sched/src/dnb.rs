@@ -49,6 +49,17 @@ impl Default for DnbConfig {
     }
 }
 
+/// The structure a dispatched μop goes to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Route {
+    /// Ready at dispatch: the in-order bypass queue.
+    Bypass,
+    /// Critical (dependent on an in-flight load, or a load): the OoO IQ.
+    Ooo,
+    /// Everything else: the delay queue.
+    Delay,
+}
+
 /// The DNB scheduler.
 #[derive(Debug)]
 pub struct Dnb {
@@ -87,6 +98,28 @@ impl Dnb {
     pub fn ooo_len(&self) -> usize {
         self.ooo.occupancy()
     }
+
+    /// Where `uop` dispatches this cycle. Criticality is dependence on
+    /// an in-flight load: that wait is long and unpredictable, which is
+    /// what the OoO IQ is for.
+    fn route(uop: &SchedUop, ctx: &ReadyCtx<'_>) -> Route {
+        if ctx.is_ready(uop) {
+            Route::Bypass
+        } else if uop.load_dep || uop.is_load() {
+            Route::Ooo
+        } else {
+            Route::Delay
+        }
+    }
+
+    /// Whether the structure behind `route` has a free entry.
+    fn has_room(&self, route: Route) -> bool {
+        match route {
+            Route::Bypass => self.bypass.len() < self.cfg.bypass_entries,
+            Route::Ooo => self.ooo.occupancy() < self.ooo.capacity(),
+            Route::Delay => self.delay.len() < self.cfg.delay_entries,
+        }
+    }
 }
 
 impl Scheduler for Dnb {
@@ -96,27 +129,19 @@ impl Scheduler for Dnb {
 
     fn try_dispatch(&mut self, uop: SchedUop, ctx: &ReadyCtx<'_>) -> DispatchOutcome {
         self.energy.head_examinations += 1; // classification logic
-        if ctx.is_ready(&uop) {
-            if self.bypass.len() >= self.cfg.bypass_entries {
-                return DispatchOutcome::Stall(StallReason::Full);
-            }
-            self.energy.queue_writes += 1;
-            self.fabric.insert(&uop, 0, ctx);
-            self.bypass.push_back(uop);
-            return DispatchOutcome::Accepted;
-        }
-        // Criticality: dependence on an in-flight load means the wait is
-        // long/unpredictable — that is what the OoO IQ is for.
-        if uop.load_dep || uop.is_load() {
-            return self.ooo.try_dispatch(uop, ctx);
-        }
-        if self.delay.len() >= self.cfg.delay_entries {
+        let route = Self::route(&uop, ctx);
+        if !self.has_room(route) {
             return DispatchOutcome::Stall(StallReason::Full);
+        }
+        match route {
+            Route::Ooo => return self.ooo.try_dispatch(uop, ctx),
+            Route::Bypass => self.bypass.push_back(uop),
+            Route::Delay => self
+                .delay
+                .push_back((ctx.cycle + self.cfg.delay_cycles, uop)),
         }
         self.energy.queue_writes += 1;
         self.fabric.insert(&uop, 0, ctx);
-        self.delay
-            .push_back((ctx.cycle + self.cfg.delay_cycles, uop));
         DispatchOutcome::Accepted
     }
 
@@ -217,22 +242,13 @@ impl Scheduler for Dnb {
             horizon = horizon.min(eligible);
         }
         if let Some(p) = pending {
-            let wake = ctx.wake_cycle(p);
-            if wake <= ctx.cycle {
-                return None; // would enter the (empty) bypass queue now
+            if self.has_room(Self::route(p, ctx)) {
+                return None; // dispatch would be accepted this cycle
             }
-            if p.load_dep || p.is_load() {
-                if self.ooo.occupancy() < self.cfg.ooo_entries {
-                    return None; // critical route accepts non-ready μops
-                }
-            } else if self.delay.len() < self.cfg.delay_entries {
-                return None; // delay route accepts now
-            }
-            if wake != u64::MAX {
-                // At `wake` the μop classifies as ready and re-routes to
-                // the bypass queue, which has space (it is empty).
-                horizon = horizon.min(wake);
-            }
+            // Refused: not ready, and its route is full. At `wake` it
+            // classifies as ready and re-routes to the bypass queue, which
+            // has space (it is empty).
+            horizon = horizon.min(ctx.wake_cycle(p));
         }
         Some(horizon)
     }

@@ -31,16 +31,16 @@
 //!   list that [`WakeFabric::poll`] re-checks against
 //!   [`ReadyCtx::held`] once per issue call — O(held), not O(window).
 //!
-//! Entries are keyed by the μop sequence number in a dense slab
-//! (`seq - base` indexing, the same discipline as the simulator's
-//! `SeqSlab`): schedulers that shuffle μops between internal queues
-//! (Ballerino, CASINO, CES) need no handle bookkeeping at all.
+//! Entries are keyed by the μop sequence number in a [`SeqSlab`]
+//! (dispatch is program-ordered, so inserts are appends):
+//! schedulers that shuffle μops between internal queues (Ballerino,
+//! CASINO, CES) need no handle bookkeeping at all.
 
 use crate::ports::PortAlloc;
+use crate::slab::SeqSlab;
 use crate::traits::ReadyCtx;
 use crate::uop::SchedUop;
 use ballerino_isa::{OpClass, PhysReg, PortId, MAX_PORTS};
-use std::collections::VecDeque;
 
 /// Readiness of a fabric-resident μop, maintained edge-triggered.
 ///
@@ -83,18 +83,14 @@ struct WakeEntry {
 /// DNB embed one via their backend OoO IQ).
 #[derive(Debug, Default)]
 pub struct WakeFabric {
-    /// Oldest resident sequence number (slab index 0).
-    base: u64,
-    /// Dense seq-indexed slab; `None` marks issued/squashed gaps.
-    slab: VecDeque<Option<WakeEntry>>,
+    /// Resident entries by seq.
+    slab: SeqSlab<WakeEntry>,
     /// Consumers waiting per physical register (lazily grown).
     waiters: Vec<Vec<u64>>,
     /// Entries with `state == Ready`.
     ready: Vec<u64>,
     /// Entries with `state == Held` (sources done, MDP hold assumed).
     held: Vec<u64>,
-    /// Resident entry count.
-    len: usize,
     /// Grants of the last [`WakeFabric::select`] call, in grant order.
     grant_buf: Vec<u64>,
 }
@@ -107,12 +103,12 @@ impl WakeFabric {
 
     /// Resident entries.
     pub fn len(&self) -> usize {
-        self.len
+        self.slab.len()
     }
 
     /// Whether no μop is resident.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.slab.is_empty()
     }
 
     /// Entries currently issuable (after the last [`WakeFabric::poll`]).
@@ -120,39 +116,12 @@ impl WakeFabric {
         self.ready.len()
     }
 
-    /// Entries parked on an MDP hold (sources done, store not issued).
-    pub fn held_len(&self) -> usize {
-        self.held.len()
-    }
-
-    /// Panic-safe readiness lookup: `None` when `seq` is not resident
-    /// (issued, squashed, or never inserted). Block validation uses this
-    /// so a flushed μop fails the check instead of crashing it.
-    pub fn state_of(&self, seq: u64) -> Option<WakeState> {
-        if seq < self.base {
-            return None;
-        }
-        let i = (seq - self.base) as usize;
-        self.slab.get(i).and_then(|s| s.as_ref()).map(|e| e.state)
-    }
-
-    fn idx(&self, seq: u64) -> usize {
-        debug_assert!(
-            seq >= self.base,
-            "seq {seq} older than fabric base {}",
-            self.base
-        );
-        (seq - self.base) as usize
-    }
-
     fn entry(&self, seq: u64) -> &WakeEntry {
-        let i = self.idx(seq);
-        self.slab[i].as_ref().expect("fabric entry present")
+        self.slab.get(seq).expect("fabric entry present")
     }
 
     fn entry_mut(&mut self, seq: u64) -> &mut WakeEntry {
-        let i = self.idx(seq);
-        self.slab[i].as_mut().expect("fabric entry present")
+        self.slab.get_mut(seq).expect("fabric entry present")
     }
 
     /// The readiness state of resident μop `seq`. Exact against the
@@ -214,27 +183,12 @@ impl WakeFabric {
     /// returned by [`WakeFabric::tag_of`] (the OoO IQ stores its slot
     /// index). Sources not ready at `ctx.cycle` register waiter nodes;
     /// their completions must arrive via [`WakeFabric::on_complete`].
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `uop.seq` is younger than every seq inserted before
+    /// (dispatch is program-ordered).
     pub fn insert(&mut self, uop: &SchedUop, tag: u32, ctx: &ReadyCtx<'_>) {
-        // Dispatch is program-ordered in the pipeline, so inserts are
-        // normally appends (with `None` padding across squash gaps); the
-        // slab still accepts an out-of-order insert into a vacant slot.
-        if self.slab.is_empty() {
-            self.base = uop.seq;
-        } else if uop.seq < self.base {
-            for _ in 0..(self.base - uop.seq) {
-                self.slab.push_front(None);
-            }
-            self.base = uop.seq;
-        }
-        let idx = (uop.seq - self.base) as usize;
-        while self.slab.len() <= idx {
-            self.slab.push_back(None);
-        }
-        debug_assert!(
-            self.slab[idx].is_none(),
-            "duplicate fabric insert for seq {}",
-            uop.seq
-        );
         let mut pending = 0u8;
         let mut waiting_on = [None, None];
         for (k, s) in uop.srcs.iter().enumerate() {
@@ -249,18 +203,20 @@ impl WakeFabric {
         }
         let held_now = ctx.held.contains(uop.seq);
         let mdp = uop.mdp_wait.is_some() || held_now;
-        self.slab[idx] = Some(WakeEntry {
-            tag,
-            port: uop.port,
-            class: uop.class,
-            srcs: uop.srcs,
-            waiting_on,
-            pending,
-            mdp,
-            state: WakeState::Waiting,
-            pos: 0,
-        });
-        self.len += 1;
+        self.slab.insert(
+            uop.seq,
+            WakeEntry {
+                tag,
+                port: uop.port,
+                class: uop.class,
+                srcs: uop.srcs,
+                waiting_on,
+                pending,
+                mdp,
+                state: WakeState::Waiting,
+                pos: 0,
+            },
+        );
         if pending == 0 {
             if held_now {
                 self.push_held(uop.seq);
@@ -321,8 +277,7 @@ impl WakeFabric {
     /// Removes an issued μop, scrubbing any remaining waiter nodes.
     pub fn remove(&mut self, seq: u64) {
         self.unlink(seq);
-        let i = self.idx(seq);
-        let e = self.slab[i].take().expect("removing a resident entry");
+        let e = self.slab.remove(seq).expect("removing a resident entry");
         for r in e.waiting_on.iter().flatten() {
             let list = &mut self.waiters[r.index()];
             let p = list
@@ -331,58 +286,12 @@ impl WakeFabric {
                 .expect("waiter node present");
             list.swap_remove(p);
         }
-        self.len -= 1;
-        while matches!(self.slab.front(), Some(None)) {
-            self.slab.pop_front();
-            self.base += 1;
-        }
     }
 
-    /// Removes every entry younger than `seq` (squash).
+    /// Removes every entry younger than `seq` (squash), youngest first.
     pub fn flush_after(&mut self, seq: u64) {
-        let keep = if seq < self.base {
-            0
-        } else {
-            ((seq - self.base) as usize + 1).min(self.slab.len())
-        };
-        while self.slab.len() > keep {
-            if let Some(e) = self.slab.pop_back().expect("len checked") {
-                let gone = self.base + self.slab.len() as u64;
-                // Unlink from ready/held by value: positions are cheap
-                // to fix and flushes are rare.
-                match e.state {
-                    WakeState::Ready => {
-                        let p = e.pos as usize;
-                        debug_assert_eq!(self.ready[p], gone);
-                        self.ready.swap_remove(p);
-                        if let Some(&moved) = self.ready.get(p) {
-                            self.entry_mut(moved).pos = p as u32;
-                        }
-                    }
-                    WakeState::Held => {
-                        let p = e.pos as usize;
-                        debug_assert_eq!(self.held[p], gone);
-                        self.held.swap_remove(p);
-                        if let Some(&moved) = self.held.get(p) {
-                            self.entry_mut(moved).pos = p as u32;
-                        }
-                    }
-                    WakeState::Waiting => {}
-                }
-                for r in e.waiting_on.iter().flatten() {
-                    let list = &mut self.waiters[r.index()];
-                    let p = list
-                        .iter()
-                        .position(|&s| s == gone)
-                        .expect("waiter node present");
-                    list.swap_remove(p);
-                }
-                self.len -= 1;
-            }
-        }
-        while matches!(self.slab.front(), Some(None)) {
-            self.slab.pop_front();
-            self.base += 1;
+        while let Some(gone) = self.slab.last_seq().filter(|&s| s > seq) {
+            self.remove(gone);
         }
     }
 
@@ -395,9 +304,7 @@ impl WakeFabric {
     /// `None` even before the next [`WakeFabric::poll`].
     pub fn min_wake(&self, ctx: &ReadyCtx<'_>) -> Option<u64> {
         let mut horizon = u64::MAX;
-        for (i, slot) in self.slab.iter().enumerate() {
-            let Some(e) = slot else { continue };
-            let seq = self.base + i as u64;
+        for (seq, e) in self.slab.iter() {
             let wake = if e.mdp && ctx.held.contains(seq) {
                 u64::MAX
             } else {
@@ -426,10 +333,7 @@ impl WakeFabric {
         // (seq, tag) best requester per port.
         let mut best_per_port: [Option<(u64, u32)>; MAX_PORTS] = [None; MAX_PORTS];
         for &seq in &self.ready {
-            let e = {
-                let i = (seq - self.base) as usize;
-                self.slab[i].as_ref().expect("ready entry resident")
-            };
+            let e = self.entry(seq);
             if !ports.can_claim(e.port, e.class) {
                 continue;
             }
@@ -485,11 +389,9 @@ impl WakeFabric {
     /// Diagnostic rendering of the entry for `seq` (see
     /// [`Scheduler::debug_locate`](crate::Scheduler::debug_locate)).
     pub fn debug_entry(&self, seq: u64) -> String {
-        let i = (seq.saturating_sub(self.base)) as usize;
-        match self.slab.get(i) {
-            Some(Some(e)) => format!("{e:?}"),
-            Some(None) => "gone".into(),
-            None => "out-of-slab".into(),
+        match self.slab.get(seq) {
+            Some(e) => format!("{e:?}"),
+            None => "gone".into(),
         }
     }
 

@@ -73,14 +73,26 @@ impl Fxa {
         )
     }
 
-    /// Whether the μop can execute inside the IXU: operands available by
-    /// the time it reaches the IXU's last stage (bypass window), class
-    /// executable by the IXU's simple FUs, no MDP hold, and IXU slot free.
-    fn ixu_accepts(&mut self, uop: &SchedUop, ctx: &ReadyCtx<'_>) -> bool {
-        if !Self::ixu_eligible_class(uop.class) {
-            return false;
+    /// The IXU's admission window for `uop`, slots aside: the first
+    /// cycle at which its class (executable by the IXU's simple FUs), MDP
+    /// hold (none) and operands (available by the time it reaches the
+    /// IXU's last stage, via the bypass) let the IXU execute it.
+    /// `u64::MAX` when only an external event can open it.
+    fn ixu_window_opens(&self, uop: &SchedUop, ctx: &ReadyCtx<'_>) -> u64 {
+        if !Self::ixu_eligible_class(uop.class) || ctx.held.contains(uop.seq) {
+            return u64::MAX;
         }
-        if ctx.held.contains(uop.seq) {
+        let avail = ctx.scb.srcs_ready_cycle(&uop.srcs);
+        if avail == u64::MAX {
+            return u64::MAX;
+        }
+        avail.saturating_sub(self.cfg.ixu_stages - 1)
+    }
+
+    /// Whether the μop executes inside the IXU: its admission window is
+    /// open and an IXU slot is free this cycle (taking it if so).
+    fn ixu_accepts(&mut self, uop: &SchedUop, ctx: &ReadyCtx<'_>) -> bool {
+        if self.ixu_window_opens(uop, ctx) > ctx.cycle {
             return false;
         }
         if self.ixu_cycle != ctx.cycle {
@@ -88,10 +100,6 @@ impl Fxa {
             self.ixu_used = 0;
         }
         if self.ixu_used >= self.cfg.ixu_width {
-            return false;
-        }
-        let avail = ctx.scb.srcs_ready_cycle(&uop.srcs);
-        if avail == u64::MAX || avail > ctx.cycle + (self.cfg.ixu_stages - 1) {
             return false;
         }
         self.ixu_used += 1;
@@ -152,20 +160,14 @@ impl Scheduler for Fxa {
     fn next_event_cycle(&self, ctx: &ReadyCtx<'_>, pending: Option<&SchedUop>) -> Option<u64> {
         let mut horizon = self.backend.next_event_cycle(ctx, pending)?;
         if let Some(p) = pending {
-            // Read-only replica of `ixu_accepts`: a fresh cycle always has
-            // IXU slots free, because the lone pending retry is the only
-            // dispatch happening while the frontend is stalled.
-            if Self::ixu_eligible_class(p.class) && !ctx.held.contains(p.seq) {
-                let avail = ctx.scb.srcs_ready_cycle(&p.srcs);
-                if avail != u64::MAX {
-                    if avail <= ctx.cycle + (self.cfg.ixu_stages - 1) {
-                        return None; // IXU would execute it this cycle
-                    }
-                    // The IXU starts accepting once `avail` slides into
-                    // the bypass window.
-                    horizon = horizon.min(avail - (self.cfg.ixu_stages - 1));
-                }
+            // A fresh cycle always has IXU slots free, because the lone
+            // pending retry is the only dispatch happening while the
+            // frontend is stalled: the admission window alone decides.
+            let opens = self.ixu_window_opens(p, ctx);
+            if opens <= ctx.cycle {
+                return None; // IXU would execute it this cycle
             }
+            horizon = horizon.min(opens);
         }
         Some(horizon)
     }

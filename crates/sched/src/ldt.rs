@@ -28,6 +28,7 @@ use crate::fabric::WakeFabric;
 use crate::ports::PortAlloc;
 use crate::stats::{IssueBreakdown, SchedEnergyEvents};
 use crate::traits::{DispatchOutcome, ReadyCtx, Scheduler, StallReason};
+use crate::scoreboard::Scoreboard;
 use crate::uop::SchedUop;
 use ballerino_isa::{PhysReg, MAX_PORTS};
 use std::cmp::Reverse;
@@ -72,7 +73,7 @@ impl DelayTable {
         self.entries[p.index()]
     }
 
-    /// Reads without counting (read-only replicas, tests).
+    /// Reads without counting (steering plans, tests).
     pub fn peek(&self, p: PhysReg) -> u64 {
         self.entries[p.index()]
     }
@@ -87,6 +88,98 @@ impl DelayTable {
     pub fn clear(&mut self, p: PhysReg) {
         self.writes += 1;
         self.entries[p.index()] = 0;
+    }
+}
+
+/// Initial load-delay estimate before any observation (roughly an L1
+/// hit).
+pub const INITIAL_TRACKED_DELAY: u64 = 4;
+
+/// Real-time load-delay tracking: the per-register [`DelayTable`], the
+/// running load-delay estimate, and the issued loads awaiting
+/// observation. The LDT queue and Ballerino-LDT each own one.
+#[derive(Debug, Clone)]
+pub struct DelayTracker {
+    /// Predicted ready cycles. Its access counters are the tracker's
+    /// energy charges; estimate updates count as writes.
+    pub table: DelayTable,
+    /// Running load-delay estimate in cycles (EWMA of observed delays).
+    delay: u64,
+    /// Issued loads awaiting delay observation: `(dst, issue cycle)`.
+    /// The scoreboard publishes the actual completion cycle the same
+    /// cycle a load issues, so the queue fully drains at the next
+    /// [`DelayTracker::observe`].
+    inflight: VecDeque<(PhysReg, u64)>,
+}
+
+impl DelayTracker {
+    /// Creates a tracker for `num_phys_regs` registers.
+    pub fn new(num_phys_regs: usize) -> Self {
+        DelayTracker {
+            table: DelayTable::new(num_phys_regs),
+            delay: INITIAL_TRACKED_DELAY,
+            inflight: VecDeque::new(),
+        }
+    }
+
+    /// Current load-delay estimate.
+    pub fn delay(&self) -> u64 {
+        self.delay
+    }
+
+    /// Annotates a dispatched μop. Returns its predicted ready cycle:
+    /// the latest source prediction, floored at `cycle` (stale
+    /// predictions never sort a ready μop behind the present). Its
+    /// destination is predicted ready that plus its latency — the
+    /// tracked estimate for loads.
+    pub fn annotate(&mut self, uop: &SchedUop, cycle: u64) -> u64 {
+        let mut pred = cycle;
+        for src in uop.srcs.iter().flatten() {
+            pred = pred.max(self.table.predicted_ready(*src));
+        }
+        if let Some(d) = uop.dst {
+            let lat = if uop.is_load() {
+                self.delay
+            } else {
+                uop.class.exec_latency() as u64
+            };
+            self.table.set_predicted(d, pred + lat);
+        }
+        pred
+    }
+
+    /// Queues an issued load for delay observation.
+    pub fn note_issue(&mut self, uop: &SchedUop, cycle: u64) {
+        if uop.is_load() {
+            if let Some(d) = uop.dst {
+                self.inflight.push_back((d, cycle));
+            }
+        }
+    }
+
+    /// Folds completed load observations into the estimate. Entries
+    /// whose register was reallocated in the meantime (only possible
+    /// after a flush) are discarded.
+    pub fn observe(&mut self, scb: &Scoreboard) {
+        while let Some((dst, issued_at)) = self.inflight.pop_front() {
+            let rc = scb.ready_cycle(dst);
+            if rc == u64::MAX {
+                continue; // reallocated before observation; no sample
+            }
+            let observed = rc.saturating_sub(issued_at);
+            self.delay = ((3 * self.delay + observed) / 4).max(1);
+            self.table.writes += 1; // delay-estimate register update
+        }
+    }
+
+    /// Squash: flushed predictions clear, and squashed issued loads
+    /// contribute no sample (their registers roll back to stale-but-
+    /// ready architectural values).
+    pub fn flush(&mut self, flushed_dests: &[PhysReg]) {
+        for d in flushed_dests {
+            self.table.clear(*d);
+        }
+        self.inflight.retain(|(d, _)| !flushed_dests.contains(d));
     }
 }
 
@@ -122,24 +215,13 @@ pub struct Ldt {
     /// the unified OoO IQ).
     free_slots: BinaryHeap<Reverse<usize>>,
     fabric: WakeFabric,
-    dt: DelayTable,
-    /// Running load-delay estimate in cycles (EWMA of observed delays).
-    tracked_delay: u64,
-    /// Issued loads awaiting delay observation: `(dst, issue cycle)`.
-    /// The scoreboard publishes the actual completion cycle the same
-    /// cycle a load issues, so the queue fully drains at the next
-    /// scheduler activity.
-    inflight: VecDeque<(PhysReg, u64)>,
+    delays: DelayTracker,
     /// Decide issue/quiesce from the seed's O(window) scan instead of
     /// the fabric (the reference pipeline).
     broadcast_wakeup: bool,
     energy: SchedEnergyEvents,
     breakdown: IssueBreakdown,
 }
-
-/// Initial load-delay estimate before any observation (roughly an L1
-/// hit).
-const INITIAL_TRACKED_DELAY: u64 = 4;
 
 impl Ldt {
     /// Builds an empty IQ.
@@ -148,7 +230,7 @@ impl Ldt {
         let slots = vec![None; cfg.entries];
         let tags = vec![0; cfg.entries];
         let free_slots = (0..cfg.entries).map(Reverse).collect();
-        let dt = DelayTable::new(cfg.num_phys_regs);
+        let delays = DelayTracker::new(cfg.num_phys_regs);
         Ldt {
             cfg,
             slots,
@@ -156,9 +238,7 @@ impl Ldt {
             occupancy: 0,
             free_slots,
             fabric: WakeFabric::new(),
-            dt,
-            tracked_delay: INITIAL_TRACKED_DELAY,
-            inflight: VecDeque::new(),
+            delays,
             broadcast_wakeup: false,
             energy: SchedEnergyEvents::default(),
             breakdown: IssueBreakdown::default(),
@@ -175,25 +255,7 @@ impl Ldt {
 
     /// Current load-delay estimate (tests/diagnostics).
     pub fn tracked_delay(&self) -> u64 {
-        self.tracked_delay
-    }
-
-    /// Folds completed load observations into the running delay
-    /// estimate. The scoreboard publishes a load's completion cycle the
-    /// same cycle it issues, so every queued observation resolves here;
-    /// entries whose register was reallocated in the meantime (only
-    /// possible after a flush) are discarded.
-    fn observe_loads(&mut self, ctx: &ReadyCtx<'_>) {
-        while let Some(&(dst, issued_at)) = self.inflight.front() {
-            self.inflight.pop_front();
-            let rc = ctx.scb.ready_cycle(dst);
-            if rc == u64::MAX {
-                continue; // reallocated before observation; no sample
-            }
-            let observed = rc.saturating_sub(issued_at);
-            self.tracked_delay = ((3 * self.tracked_delay + observed) / 4).max(1);
-            self.energy.loc_writes += 1; // delay-estimate register update
-        }
+        self.delays.delay()
     }
 
     /// Bookkeeping for one granted slot: frees it, charges the read,
@@ -204,11 +266,7 @@ impl Ldt {
         self.occupancy -= 1;
         self.energy.queue_reads += 1;
         self.breakdown.from_ooo += 1;
-        if u.is_load() {
-            if let Some(d) = u.dst {
-                self.inflight.push_back((d, cycle));
-            }
-        }
+        self.delays.note_issue(&u, cycle);
         out.push(u.seq);
         self.fabric.remove(u.seq);
     }
@@ -276,21 +334,7 @@ impl Scheduler for Ldt {
         match self.free_slots.pop() {
             Some(Reverse(i)) => {
                 debug_assert!(self.slots[i].is_none(), "free list out of sync");
-                // Predicted ready cycle: the latest source prediction,
-                // floored at now (stale predictions never sort a ready
-                // μop behind the present).
-                let mut pred = ctx.cycle;
-                for src in uop.srcs.iter().flatten() {
-                    pred = pred.max(self.dt.predicted_ready(*src));
-                }
-                if let Some(d) = uop.dst {
-                    let lat = if uop.is_load() {
-                        self.tracked_delay
-                    } else {
-                        uop.class.exec_latency() as u64
-                    };
-                    self.dt.set_predicted(d, pred + lat);
-                }
+                let pred = self.delays.annotate(&uop, ctx.cycle);
                 let delay = pred.saturating_sub(ctx.cycle).min(DELAY_CLAMP) as u32;
                 let tag = (delay << SLOT_BITS) | i as u32;
                 self.tags[i] = tag;
@@ -311,7 +355,7 @@ impl Scheduler for Ldt {
         // Wakeup evaluates every occupied entry each cycle — a modelled
         // hardware event, charged whether or not the simulator scans.
         self.energy.head_examinations += self.occupancy as u64;
-        self.observe_loads(ctx);
+        self.delays.observe(ctx.scb);
 
         if self.broadcast_wakeup {
             let mut grants = [0usize; MAX_PORTS];
@@ -344,7 +388,7 @@ impl Scheduler for Ldt {
         self.energy.cam_broadcasts += 1;
         self.energy.cam_entries_searched += self.cfg.entries as u64;
         // The value exists: its delay prediction is spent.
-        self.dt.clear(dst);
+        self.delays.table.clear(dst);
         self.fabric.on_complete(dst);
     }
 
@@ -357,12 +401,7 @@ impl Scheduler for Ldt {
             }
         }
         self.fabric.flush_after(seq);
-        for d in flushed_dests {
-            self.dt.clear(*d);
-        }
-        // Squashed issued loads must not contribute delay samples: their
-        // registers roll back to stale-but-ready architectural values.
-        self.inflight.retain(|(d, _)| !flushed_dests.contains(d));
+        self.delays.flush(flushed_dests);
     }
 
     fn occupancy(&self) -> usize {
@@ -375,8 +414,8 @@ impl Scheduler for Ldt {
 
     fn energy_events(&self) -> SchedEnergyEvents {
         let mut e = self.energy;
-        e.loc_reads += self.dt.reads;
-        e.loc_writes += self.dt.writes;
+        e.loc_reads += self.delays.table.reads;
+        e.loc_writes += self.delays.table.writes;
         e
     }
 
@@ -411,7 +450,7 @@ impl Scheduler for Ldt {
         // empty-window early return); the queue cannot refill during an
         // idle window, so one drain replicates all k.
         if self.occupancy > 0 {
-            self.observe_loads(ctx);
+            self.delays.observe(ctx.scb);
         }
     }
 }
@@ -565,9 +604,9 @@ mod tests {
         iq.flush_after(1, &dests);
         assert_eq!(iq.occupancy(), 2);
         for d in &dests {
-            assert_eq!(iq.dt.peek(*d), 0);
+            assert_eq!(iq.delays.table.peek(*d), 0);
         }
-        assert_ne!(iq.dt.peek(PhysReg(20)), 0);
+        assert_ne!(iq.delays.table.peek(PhysReg(20)), 0);
     }
 
     #[test]

@@ -46,6 +46,7 @@ pub mod lsc;
 pub mod ooo;
 pub mod ports;
 pub mod scoreboard;
+pub mod slab;
 pub mod stats;
 pub mod traits;
 pub mod uop;
@@ -57,12 +58,13 @@ pub use fabric::{WakeFabric, WakeState};
 pub use fxa::{Fxa, FxaConfig};
 pub use held::HeldSet;
 pub use ino::{InOrderIq, InOrderIqConfig};
-pub use ldt::{DelayTable, Ldt, LdtConfig};
+pub use ldt::{DelayTracker, Ldt, LdtConfig};
 pub use loc::{LocEntry, LocTable};
 pub use lsc::{Lsc, LscConfig};
 pub use ooo::{OooIq, OooIqConfig};
 pub use ports::{FuBusy, PortAlloc};
 pub use scoreboard::Scoreboard;
+pub use slab::SeqSlab;
 pub use stats::{
     HeadState, HeadStateStats, IssueBreakdown, SchedEnergyEvents, SteerEvent, SteerStats,
 };

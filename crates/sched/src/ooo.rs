@@ -362,17 +362,14 @@ mod tests {
             scb: &scb,
             held: &held,
         };
-        // Fill slots 0..3 with seqs 0..3, issue all, then refill slot 0
-        // with a *younger* op: slot order, not age, decides priority.
-        for i in 0..4 {
-            iq.try_dispatch(op(i, i as u8, None), &ctx);
-        }
-        let _ = issue_once(&mut iq, &scb, 0);
-        iq.try_dispatch(op(10, 0, None), &ctx); // goes to slot 0
-        iq.try_dispatch(op(4, 0, None), &ctx); // older... wait, 4 < 10
-                                               // Same port: slot 0 (seq 10) wins over slot 1 (seq 4).
+        // Seqs 0 and 1 share a port; seq 0 issues, and the younger seq 2
+        // refills its slot 0: slot order, not age, decides priority.
+        iq.try_dispatch(op(0, 0, None), &ctx);
+        iq.try_dispatch(op(1, 0, None), &ctx); // slot 1
+        assert_eq!(issue_once(&mut iq, &scb, 0), vec![0]);
+        iq.try_dispatch(op(2, 0, None), &ctx); // reuses slot 0
         let out = issue_once(&mut iq, &scb, 1);
-        assert_eq!(out, vec![10]);
+        assert_eq!(out, vec![2]);
     }
 
     #[test]
@@ -388,14 +385,13 @@ mod tests {
             scb: &scb,
             held: &held,
         };
-        for i in 0..4 {
-            iq.try_dispatch(op(i, i as u8, None), &ctx);
-        }
-        let _ = issue_once(&mut iq, &scb, 0);
-        iq.try_dispatch(op(10, 0, None), &ctx);
-        iq.try_dispatch(op(4, 0, None), &ctx);
+        // As above: seq 2 sits in slot 0, the older seq 1 in slot 1.
+        iq.try_dispatch(op(0, 0, None), &ctx);
+        iq.try_dispatch(op(1, 0, None), &ctx);
+        assert_eq!(issue_once(&mut iq, &scb, 0), vec![0]);
+        iq.try_dispatch(op(2, 0, None), &ctx);
         let out = issue_once(&mut iq, &scb, 1);
-        assert_eq!(out, vec![4]);
+        assert_eq!(out, vec![1]);
     }
 
     #[test]

@@ -1,4 +1,8 @@
-//! [`SeqSlab`]: a sequence-indexed slab for in-flight pipeline state.
+//! [`SeqSlab`]: a sequence-indexed slab for in-flight pipeline state
+//! (the simulator core's in-flight table and the [`WakeFabric`]'s
+//! entries).
+//!
+//! [`WakeFabric`]: crate::WakeFabric
 //!
 //! The core assigns sequence numbers densely and monotonically at rename
 //! and retires them from exactly two ends: commit removes the *oldest*
@@ -24,12 +28,18 @@ use std::collections::VecDeque;
 /// Insertions must be in increasing `seq` order (gaps allowed); removals
 /// may target any live entry but in practice hit the two ends. Lookup is
 /// O(1); removal is O(1) plus end compaction.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct SeqSlab<T> {
     /// Sequence number of `slots[0]`.
     base: u64,
     slots: VecDeque<Option<T>>,
     live: usize,
+}
+
+impl<T> Default for SeqSlab<T> {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl<T> SeqSlab<T> {
@@ -107,6 +117,21 @@ impl<T> SeqSlab<T> {
     /// Iterates over live entries in sequence order.
     pub fn values(&self) -> impl Iterator<Item = &T> {
         self.slots.iter().filter_map(Option::as_ref)
+    }
+
+    /// Iterates over live `(seq, entry)` pairs in sequence order.
+    pub fn iter(&self) -> impl Iterator<Item = (u64, &T)> {
+        let base = self.base;
+        self.slots
+            .iter()
+            .enumerate()
+            .filter_map(move |(i, s)| s.as_ref().map(|v| (base + i as u64, v)))
+    }
+
+    /// The youngest live sequence number (end compaction keeps the last
+    /// slot live).
+    pub fn last_seq(&self) -> Option<u64> {
+        (self.live > 0).then(|| self.base + self.slots.len() as u64 - 1)
     }
 
     /// Removes and returns the entry for `seq`, compacting empty slots at
@@ -188,12 +213,16 @@ mod tests {
         }
         assert_eq!(s.get(11), Some(&11));
         assert_eq!(s.get(4), Some(&4));
+        assert_eq!(s.last_seq(), Some(11));
+        let live: Vec<u64> = s.iter().map(|(seq, &v)| seq ^ v).collect();
+        assert_eq!(live, [0; 5], "iter pairs each entry with its seq");
         // Oldest-first commits drain across the gap.
         for seq in 1..=4u64 {
             assert_eq!(s.remove(seq), Some(seq));
         }
         assert_eq!(s.remove(11), Some(11));
         assert!(s.is_empty());
+        assert_eq!(s.last_seq(), None);
     }
 
     #[test]

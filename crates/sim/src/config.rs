@@ -60,11 +60,6 @@ pub struct CoreConfig {
     pub use_mdp: bool,
     /// Core frequency in GHz (for reporting; timing is in cycles).
     pub freq_ghz: f64,
-    /// Whether the event-horizon engine may fast-forward provably idle
-    /// stretches of cycles (see ARCHITECTURE.md, "The quiesce contract").
-    /// Purely a simulator-throughput knob: results are byte-identical
-    /// either way.
-    pub skip_idle: bool,
 }
 
 impl CoreConfig {
@@ -86,7 +81,6 @@ impl CoreConfig {
                 mem: MemConfig::default(),
                 use_mdp: true,
                 freq_ghz: 3.4,
-                skip_idle: true,
             },
             Width::Ten => CoreConfig {
                 issue_width: 10,
@@ -108,7 +102,6 @@ impl CoreConfig {
                 mem: MemConfig::default(),
                 use_mdp: true,
                 freq_ghz: 2.5,
-                skip_idle: true,
             },
             Width::Two => CoreConfig {
                 front_width: 2,
@@ -128,7 +121,6 @@ impl CoreConfig {
                 mem: MemConfig::default(),
                 use_mdp: true,
                 freq_ghz: 2.0,
-                skip_idle: true,
             },
         }
     }

@@ -4,7 +4,7 @@
 //! flows naturally): writeback → commit → issue → dispatch → fetch.
 
 use crate::config::CoreConfig;
-use crate::slab::SeqSlab;
+use ballerino_sched::SeqSlab;
 use crate::stats::{SimResult, TimingBreakdown, TimingClass};
 use ballerino_energy::{EnergyEvents, StructureSizes};
 use ballerino_frontend::{Btb, RenamedOp, Renamer, Tage};
@@ -169,9 +169,7 @@ impl Core {
         let target = trace.len() as u64;
         let max_cycles = 600 * target + 200_000;
         while self.committed < target {
-            if self.cfg.skip_idle {
-                self.try_skip(trace, max_cycles);
-            }
+            self.try_skip(trace, max_cycles);
             self.step(trace);
             if self.cycle >= max_cycles {
                 self.no_progress_panic(trace, target);

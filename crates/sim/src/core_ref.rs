@@ -4,7 +4,7 @@
 //! semantics, but in-flight state lives in `HashMap`/`HashSet`
 //! structures and the issue path allocates fresh buffers every cycle.
 //! The production core replaced those with the sequence-indexed
-//! [`SeqSlab`](crate::slab::SeqSlab), a dense taint vector, waiter lists
+//! [`SeqSlab`](crate::SeqSlab), a dense taint vector, waiter lists
 //! folded into each store's entry, and reused scratch buffers.
 //!
 //! It exists for exactly two purposes, both exercised by the

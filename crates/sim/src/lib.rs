@@ -27,7 +27,6 @@ pub mod config;
 pub mod core;
 pub mod core_ref;
 pub mod machine;
-pub mod slab;
 pub mod stats;
 
 pub use crate::core::Core;
@@ -36,5 +35,5 @@ pub use machine::{
     build_scheduler, build_scheduler_point, run_machine, run_machine_reference, run_point,
     DesignPoint, MachineKind,
 };
-pub use slab::SeqSlab;
+pub use ballerino_sched::SeqSlab;
 pub use stats::{SimResult, TimingBreakdown, TimingClass};

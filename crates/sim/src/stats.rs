@@ -132,7 +132,7 @@ pub struct SimResult {
     pub host_wall_s: f64,
     /// Cycles the event-horizon engine fast-forwarded instead of stepping
     /// (throughput instrumentation; a subset of `cycles`). Always zero on
-    /// the reference core and when `skip_idle` is off.
+    /// the reference core, which never skips.
     pub cycles_skipped: u64,
 }
 

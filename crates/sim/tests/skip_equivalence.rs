@@ -1,20 +1,21 @@
-//! Skip-on vs skip-off equivalence for the event-horizon engine.
+//! The event-horizon engine against the reference core, which never
+//! skips.
 //!
 //! The engine may only fast-forward cycles it can prove are pure
 //! bookkeeping, and must replay that bookkeeping in closed form — so
 //! every reported statistic (cycles, IPC, stall counters, energy
 //! micro-events, head states, steering outcomes, ...) must be
-//! byte-identical with skipping on and off, for every scheduler. The
-//! comparison goes through `format!("{result:?}")` on the full
-//! [`SimResult`] after zeroing the two fields that are *allowed* to
-//! differ: `host_wall_s` (host time) and `cycles_skipped` (how many of
-//! the cycles were fast-forwarded rather than stepped). Every run also
-//! checks that accounting: skipped cycles are a subset of all cycles.
+//! byte-identical to the stepping reference pipeline
+//! ([`run_machine_reference`]), for every scheduler. The comparison goes
+//! through `format!("{result:?}")` on the full [`SimResult`] after
+//! zeroing the two fields that are *allowed* to differ: `host_wall_s`
+//! (host time) and `cycles_skipped` (how many of the cycles were
+//! fast-forwarded rather than stepped). Every run also checks that
+//! accounting: skipped cycles are a subset of all cycles.
 
 use ballerino_isa::rng::Rng64;
-use ballerino_isa::Trace;
 use ballerino_sched::SchedEnergyEvents;
-use ballerino_sim::{build_scheduler, Core, MachineKind, Width};
+use ballerino_sim::{run_machine, run_machine_reference, MachineKind, SimResult, Width};
 use ballerino_workloads::{workload, workload_names};
 
 const ALL_KINDS: [MachineKind; 18] = [
@@ -38,24 +39,15 @@ const ALL_KINDS: [MachineKind; 18] = [
     MachineKind::BallerinoLdt,
 ];
 
-/// Runs one machine with skipping forced on or off and returns the
-/// normalized result rendering, the skipped-cycle count, and the typed
-/// scheduler energy micro-events.
-fn run_normalized(
-    kind: MachineKind,
-    width: Width,
-    trace: &Trace,
-    skip: bool,
-) -> (String, u64, SchedEnergyEvents) {
-    let (mut cfg, sched, sizes) = build_scheduler(kind, width);
-    cfg.skip_idle = skip;
-    let mut r = Core::new(cfg, sched, sizes).run(trace);
+/// Checks a run's skipped-cycle accounting and returns the normalized
+/// result rendering, the skipped-cycle count, and the typed scheduler
+/// energy micro-events.
+fn normalized(mut r: SimResult, what: &str) -> (String, u64, SchedEnergyEvents) {
     let skipped = r.cycles_skipped;
     assert!(
         skipped <= r.cycles,
-        "{kind:?} {width:?} skipped {skipped} of {} cycles ({})",
-        r.cycles,
-        trace.name
+        "{what} skipped {skipped} of {} cycles",
+        r.cycles
     );
     let sched_energy = r.energy.sched;
     r.host_wall_s = 0.0;
@@ -75,19 +67,17 @@ fn every_machine_is_skip_invariant_on_randomized_workloads() {
             let width = [Width::Two, Width::Four, Width::Eight][rng.index(3)];
             let n = 300 + rng.index(200);
             let trace = workload(name, n, seed);
-            let (off, _, e_off) = run_normalized(kind, width, &trace, false);
-            let (on, _, e_on) = run_normalized(kind, width, &trace, true);
+            let what = format!("{kind:?} {width:?} ({name}, seed {seed:#x}, n {n})");
+            let (reference, _, e_ref) =
+                normalized(run_machine_reference(kind, width, &trace), &what);
+            let (live, _, e_live) = normalized(run_machine(kind, width, &trace), &what);
             // Typed comparison first: a `Debug` rendering change can never
             // mask a drifting scheduler energy counter.
             assert_eq!(
-                e_off, e_on,
-                "{kind:?} {width:?} scheduler energy events diverge with skipping on \
-                 ({name}, seed {seed:#x}, n {n})"
+                e_ref, e_live,
+                "{what}: scheduler energy events diverge from the reference"
             );
-            assert_eq!(
-                off, on,
-                "{kind:?} {width:?} diverges with skipping on ({name}, seed {seed:#x}, n {n})"
-            );
+            assert_eq!(reference, live, "{what}: diverges from the reference");
         }
     }
 }
@@ -98,14 +88,10 @@ fn skipping_engages_on_memory_bound_workloads() {
     // with a quiesced scheduler. A pointer chase at 8-wide OoO spends most
     // of its cycles waiting on DRAM.
     let trace = workload("pointer_chase", 2_000, 7);
-    let (_, skipped, _) = run_normalized(MachineKind::OutOfOrder, Width::Eight, &trace, true);
+    let (kind, width) = (MachineKind::OutOfOrder, Width::Eight);
+    let (_, skipped, _) = normalized(run_machine(kind, width, &trace), "OoO pointer_chase");
     assert!(
         skipped > 0,
         "event-horizon engine never fired on pointer_chase"
-    );
-    let (_, skipped_off, _) = run_normalized(MachineKind::OutOfOrder, Width::Eight, &trace, false);
-    assert_eq!(
-        skipped_off, 0,
-        "cycles_skipped must stay zero with skip_idle off"
     );
 }
