@@ -12,9 +12,12 @@ fn main() {
     let digest = golden::render(threads());
     if std::env::args().any(|a| a == "--write") {
         let path = golden::digest_path();
-        std::fs::create_dir_all(path.parent().expect("digest dir")).expect("create digest dir");
         std::fs::write(&path, &digest).expect("write digest");
-        eprintln!("wrote {} cells to {}", digest.lines().count(), path.display());
+        eprintln!(
+            "wrote {} cells to {}",
+            digest.lines().count(),
+            path.display()
+        );
     } else {
         print!("{digest}");
     }

@@ -386,8 +386,11 @@ impl Ballerino {
             .back(part)
             .map(|b| b.seq == e.store_seq)
             .unwrap_or(false);
-        (at_tail && self.piqs[k].can_push(part))
-            .then_some(SteerTarget::Chain(k, part, Reserve::Lfst(ssid)))
+        (at_tail && self.piqs[k].can_push(part)).then_some(SteerTarget::Chain(
+            k,
+            part,
+            Reserve::Lfst(ssid),
+        ))
     }
 
     /// R-dependence steering target: the partition holding a producer at

@@ -199,7 +199,11 @@ impl Ces {
             plan.target = self.rdep_target(uop, &mut plan);
         }
         if plan.target.is_none() {
-            plan.target = self.piqs.iter().position(|q| q.is_empty()).map(Target::Alloc);
+            plan.target = self
+                .piqs
+                .iter()
+                .position(|q| q.is_empty())
+                .map(Target::Alloc);
         }
         plan
     }

@@ -26,9 +26,9 @@
 
 use crate::fabric::WakeFabric;
 use crate::ports::PortAlloc;
+use crate::scoreboard::Scoreboard;
 use crate::stats::{IssueBreakdown, SchedEnergyEvents};
 use crate::traits::{DispatchOutcome, ReadyCtx, Scheduler, StallReason};
-use crate::scoreboard::Scoreboard;
 use crate::uop::SchedUop;
 use ballerino_isa::{PhysReg, MAX_PORTS};
 use std::cmp::Reverse;

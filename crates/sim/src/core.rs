@@ -4,7 +4,6 @@
 //! flows naturally): writeback → commit → issue → dispatch → fetch.
 
 use crate::config::CoreConfig;
-use ballerino_sched::SeqSlab;
 use crate::stats::{SimResult, TimingBreakdown, TimingClass};
 use ballerino_energy::{EnergyEvents, StructureSizes};
 use ballerino_frontend::{Btb, RenamedOp, Renamer, Tage};
@@ -12,6 +11,7 @@ use ballerino_isa::{MicroOp, OpClass, Trace};
 use ballerino_mem::lsq::{Forward, MemRange};
 use ballerino_mem::{AccessKind, Hierarchy, LoadQueue, Mdp, MdpConfig, StoreQueue};
 use ballerino_sched::ports::PortArbiter;
+use ballerino_sched::SeqSlab;
 use ballerino_sched::{
     DispatchOutcome, FuBusy, HeldSet, PortAlloc, ReadyCtx, SchedUop, Scheduler, Scoreboard,
 };

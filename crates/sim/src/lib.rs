@@ -30,10 +30,10 @@ pub mod machine;
 pub mod stats;
 
 pub use crate::core::Core;
+pub use ballerino_sched::SeqSlab;
 pub use config::{CoreConfig, Width};
 pub use machine::{
     build_scheduler, build_scheduler_point, run_machine, run_machine_reference, run_point,
     DesignPoint, MachineKind,
 };
-pub use ballerino_sched::SeqSlab;
 pub use stats::{SimResult, TimingBreakdown, TimingClass};
