@@ -145,6 +145,9 @@ pub trait Scheduler {
     ///   [`Scheduler::note_idle_cycles`] must replicate exactly.
     /// * Cascaded designs (CASINO, Ballerino) must first drain their
     ///   bounded inter-queue movement before reporting quiescence.
+    /// * Whether `pending` would be accepted or steered comes from the
+    ///   same decision function the live `try_dispatch`/`issue` path
+    ///   calls, never from a read-only replica of it.
     fn next_event_cycle(&self, _ctx: &ReadyCtx<'_>, _pending: Option<&SchedUop>) -> Option<u64> {
         None
     }
