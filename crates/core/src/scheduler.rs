@@ -7,7 +7,6 @@ use ballerino_isa::{PhysReg, MAX_PORTS};
 use ballerino_sched::{
     DelayTracker, DispatchOutcome, HeadState, HeadStateStats, IssueBreakdown, LocTable, PortAlloc,
     ReadyCtx, SchedEnergyEvents, SchedUop, Scheduler, StallReason, SteerEvent, SteerStats,
-    WakeFabric, WakeState,
 };
 use std::collections::VecDeque;
 
@@ -225,9 +224,6 @@ pub struct Ballerino {
     breakdown: IssueBreakdown,
     /// Sharing-mode activations (diagnostics / Fig. 13 analysis).
     pub sharing_activations: u64,
-    /// Producer-indexed wakeup lists + ready state. A μop's fabric entry
-    /// is keyed by seq, so it survives the S-IQ → P-IQ steering moves.
-    fabric: WakeFabric,
     name: String,
     reference_issue: bool,
 }
@@ -263,7 +259,6 @@ impl Ballerino {
             heads: HeadStateStats::default(),
             breakdown: IssueBreakdown::default(),
             sharing_activations: 0,
-            fabric: WakeFabric::new(),
             name,
             reference_issue: false,
         }
@@ -649,20 +644,10 @@ impl Ballerino {
                     None => HeadState::Empty,
                     Some(head) => {
                         self.energy.head_examinations += 1;
-                        if ctx.is_ready(head) {
-                            any_candidate = true;
-                            if ports.try_claim(head.port, head.class) {
-                                HeadState::Issuing
-                            } else {
-                                HeadState::StallPortConflict
-                            }
-                        } else if ctx.is_mdp_blocked(head) {
-                            HeadState::StallMdepLoad
-                        } else {
-                            HeadState::StallNonReady
-                        }
+                        ctx.claim_head(head, ports)
                     }
                 };
+                any_candidate |= matches!(state, HeadState::Issuing | HeadState::StallPortConflict);
                 if !recorded {
                     // One observation per queue per cycle.
                     self.heads.record(state);
@@ -670,7 +655,6 @@ impl Ballerino {
                 }
                 if state == HeadState::Issuing {
                     let u = self.piqs[k].pop(part).expect("head present");
-                    self.fabric.remove(u.seq);
                     self.energy.queue_reads += 1;
                     self.breakdown.from_piq += 1;
                     self.release_store_lfst(&u);
@@ -694,7 +678,6 @@ impl Ballerino {
             if ctx.is_ready(&u) {
                 any_candidate = true;
                 if ports.try_claim(u.port, u.class) {
-                    self.fabric.remove(u.seq);
                     self.energy.queue_reads += 1;
                     self.breakdown.from_siq += 1;
                     self.steer.record(SteerEvent::SpeculativeIssue);
@@ -768,7 +751,6 @@ impl Scheduler for Ballerino {
             self.delays.annotate(&uop, ctx.cycle);
         }
         self.energy.queue_writes += 1;
-        self.fabric.insert(&uop, 0, ctx);
         self.siq.push_back(uop);
         DispatchOutcome::Accepted
     }
@@ -780,7 +762,6 @@ impl Scheduler for Ballerino {
         if self.reference_issue {
             return self.issue_reference(ctx, ports, out);
         }
-        self.fabric.poll(ctx);
         // Destinations of single-cycle μops issued *this very cycle*: the
         // scoreboard is only updated by the pipeline after this call, so
         // the intra-group enable logic (Fig. 8) must track them here to
@@ -798,9 +779,7 @@ impl Scheduler for Ballerino {
         }
 
         // ---- 1. P-IQ heads: highest select priority (prefix-sum order,
-        //         §IV-E), examined via the active head pointer(s). The
-        //         fabric's per-entry state replaces the per-head operand
-        //         scan: Ready/Held/Waiting map onto the head-state taxonomy.
+        //         §IV-E), examined via the active head pointer(s).
         let mut any_candidate = false;
         for k in 0..self.piqs.len() {
             let mut issued_part: Option<PartId> = None;
@@ -810,20 +789,10 @@ impl Scheduler for Ballerino {
                     None => HeadState::Empty,
                     Some(head) => {
                         self.energy.head_examinations += 1;
-                        match self.fabric.state(head.seq) {
-                            WakeState::Ready => {
-                                any_candidate = true;
-                                if ports.try_claim(head.port, head.class) {
-                                    HeadState::Issuing
-                                } else {
-                                    HeadState::StallPortConflict
-                                }
-                            }
-                            WakeState::Held => HeadState::StallMdepLoad,
-                            WakeState::Waiting => HeadState::StallNonReady,
-                        }
+                        ctx.claim_head(head, ports)
                     }
                 };
+                any_candidate |= matches!(state, HeadState::Issuing | HeadState::StallPortConflict);
                 if !recorded {
                     // One observation per queue per cycle.
                     self.heads.record(state);
@@ -831,7 +800,6 @@ impl Scheduler for Ballerino {
                 }
                 if state == HeadState::Issuing {
                     let u = self.piqs[k].pop(part).expect("head present");
-                    self.fabric.remove(u.seq);
                     self.energy.queue_reads += 1;
                     self.breakdown.from_piq += 1;
                     self.release_store_lfst(&u);
@@ -857,10 +825,9 @@ impl Scheduler for Ballerino {
         for i in 0..window {
             let u = self.siq[i];
             self.energy.head_examinations += 1;
-            if self.fabric.state(u.seq) == WakeState::Ready {
+            if ctx.is_ready(&u) {
                 any_candidate = true;
                 if ports.try_claim(u.port, u.class) {
-                    self.fabric.remove(u.seq);
                     self.energy.queue_reads += 1;
                     self.breakdown.from_siq += 1;
                     self.steer.record(SteerEvent::SpeculativeIssue);
@@ -870,7 +837,6 @@ impl Scheduler for Ballerino {
                     out.push(u.seq);
                     remove_mask |= 1 << i;
                 } else if self.steer_port_denied(u) {
-                    // Its fabric entry follows the seq, untouched.
                     remove_mask |= 1 << i;
                 }
                 continue;
@@ -927,11 +893,9 @@ impl Scheduler for Ballerino {
             // The value exists: its delay prediction is spent.
             self.delays.table.clear(dst);
         }
-        self.fabric.on_complete(dst);
     }
 
     fn flush_after(&mut self, seq: u64, flushed_dests: &[PhysReg]) {
-        self.fabric.flush_after(seq);
         while self.siq.back().map(|u| u.seq > seq).unwrap_or(false) {
             self.siq.pop_back();
         }
@@ -991,13 +955,7 @@ impl Scheduler for Ballerino {
         for q in &self.piqs {
             for part in [PartId(0), PartId(1)] {
                 let Some(head) = q.front(part) else { continue };
-                if ctx.is_ready(head) {
-                    return None;
-                }
-                let rc = ctx.scb.srcs_ready_cycle(&head.srcs);
-                if rc != u64::MAX && rc > ctx.cycle {
-                    horizon = horizon.min(rc);
-                }
+                horizon = horizon.min(ctx.stall_horizon(head)?);
             }
         }
         let shape = self.idle_window_shape(ctx)?;
@@ -1017,20 +975,13 @@ impl Scheduler for Ballerino {
         // ---- 1. P-IQ heads: replay examinations, head-state records and
         //         the active-pointer toggle in closed form.
         for qi in 0..self.piqs.len() {
-            let state_of = |head: &SchedUop| {
-                if ctx.is_mdp_blocked(head) {
-                    HeadState::StallMdepLoad
-                } else {
-                    HeadState::StallNonReady
-                }
-            };
             // (head examinations, up to two (state, count) records)
             let (exams, rec0, rec1) = {
                 let q = &self.piqs[qi];
                 if !q.is_shared() {
                     match q.front(PartId(0)) {
                         None => (0, Some((HeadState::Empty, k)), None),
-                        Some(h) => (k, Some((state_of(h), k)), None),
+                        Some(h) => (k, Some((ctx.stall_state(h), k)), None),
                     }
                 } else if self.cfg.ideal_sharing {
                     // Both heads examined every cycle; the partition-0
@@ -1040,7 +991,7 @@ impl Scheduler for Ballerino {
                         None => HeadState::Empty,
                         Some(h) => {
                             exams += k;
-                            state_of(h)
+                            ctx.stall_state(h)
                         }
                     };
                     if q.front(PartId(1)).is_some() {
@@ -1055,18 +1006,18 @@ impl Scheduler for Ballerino {
                             // Period-2 alternation: active head first.
                             (
                                 k,
-                                Some((state_of(ha), k - k / 2)),
-                                Some((state_of(hb), k / 2)),
+                                Some((ctx.stall_state(ha), k - k / 2)),
+                                Some((ctx.stall_state(hb), k / 2)),
                             )
                         }
-                        (Some(ha), None) => (k, Some((state_of(ha), k)), None),
+                        (Some(ha), None) => (k, Some((ctx.stall_state(ha), k)), None),
                         (None, Some(hb)) => {
                             // One Empty observation, then the pointer
                             // leaves the drained partition for good.
                             (
                                 k - 1,
                                 Some((HeadState::Empty, 1)),
-                                Some((state_of(hb), k - 1)),
+                                Some((ctx.stall_state(hb), k - 1)),
                             )
                         }
                         (None, None) => {
@@ -1122,7 +1073,6 @@ impl Scheduler for Ballerino {
                 }
             }
         }
-        s.push_str(&format!("fabric: {}", self.fabric.debug_entry(seq)));
         s
     }
 }
@@ -1450,6 +1400,23 @@ mod tests {
         // LFST steering entry for a younger store would be gone; here the
         // store itself (seq 0) survives.
         assert_eq!(r.b.piqs.iter().map(|q| q.len()).sum::<usize>(), 1);
+    }
+
+    #[test]
+    fn debug_locate_names_queue_and_index() {
+        let mut r = Rig::new(BallerinoConfig::eight_wide());
+        r.scb.allocate(PhysReg(10));
+        r.scb.allocate(PhysReg(11));
+        r.dispatch(op(0, Some(15), [Some(10), None]));
+        let _ = r.issue(0); // far from ready: steered to P-IQ 0
+        r.dispatch(op(1, Some(16), [Some(11), None])); // parked in the S-IQ
+        let piq = r.b.debug_locate(0);
+        assert!(piq.starts_with("piq[0][0] "), "{piq}");
+        assert!(!piq.contains("siq["), "{piq}");
+        let siq = r.b.debug_locate(1);
+        assert!(siq.starts_with("siq[0] "), "{siq}");
+        assert!(!siq.contains("piq["), "{siq}");
+        assert_eq!(r.b.debug_locate(7), "", "non-resident seq");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! operation, charged to the energy model exactly as §VI-D discusses).
 //! The final IQ issues its contiguous ready prefix in program order.
 
-use crate::fabric::{WakeFabric, WakeState};
+use crate::ino::issue_ready_prefix;
 use crate::ports::PortAlloc;
 use crate::stats::{IssueBreakdown, SchedEnergyEvents};
 use crate::traits::{DispatchOutcome, ReadyCtx, Scheduler, StallReason};
@@ -113,7 +113,6 @@ pub struct Casino {
     name: String,
     siqs: Vec<VecDeque<SchedUop>>,
     final_iq: VecDeque<SchedUop>,
-    fabric: WakeFabric,
     energy: SchedEnergyEvents,
     breakdown: IssueBreakdown,
 }
@@ -128,7 +127,6 @@ impl Casino {
             name,
             siqs,
             final_iq: VecDeque::new(),
-            fabric: WakeFabric::new(),
             energy: SchedEnergyEvents::default(),
             breakdown: IssueBreakdown::default(),
         }
@@ -159,36 +157,25 @@ impl Scheduler for Casino {
         &self.name
     }
 
-    fn try_dispatch(&mut self, uop: SchedUop, ctx: &ReadyCtx<'_>) -> DispatchOutcome {
+    fn try_dispatch(&mut self, uop: SchedUop, _ctx: &ReadyCtx<'_>) -> DispatchOutcome {
         if self.siqs[0].len() >= self.cfg.siqs[0].entries {
             return DispatchOutcome::Stall(StallReason::Full);
         }
         self.energy.queue_writes += 1;
-        self.fabric.insert(&uop, 0, ctx);
         self.siqs[0].push_back(uop);
         DispatchOutcome::Accepted
     }
 
     fn issue(&mut self, ctx: &ReadyCtx<'_>, ports: &mut PortAlloc<'_>, out: &mut Vec<u64>) {
-        self.fabric.poll(ctx);
         // 1. Final in-order IQ: contiguous ready prefix, oldest first.
-        let final_window = self.cfg.final_iq.ports;
-        for _ in 0..final_window {
-            let Some(head) = self.final_iq.front() else {
-                break;
-            };
-            self.energy.head_examinations += 1;
-            if self.fabric.state(head.seq) != WakeState::Ready
-                || !ports.try_claim(head.port, head.class)
-            {
-                break;
-            }
-            let u = self.final_iq.pop_front().expect("head");
-            self.fabric.remove(u.seq);
-            self.energy.queue_reads += 1;
-            self.breakdown.from_inorder += 1;
-            out.push(u.seq);
-        }
+        self.breakdown.from_inorder += issue_ready_prefix(
+            &mut self.final_iq,
+            self.cfg.final_iq.ports,
+            ctx,
+            ports,
+            &mut self.energy,
+            out,
+        );
 
         // 2. S-IQs from the back of the cascade to the front, so a μop
         //    moves at most one stage per cycle.
@@ -201,8 +188,7 @@ impl Scheduler for Casino {
             for k in 0..window {
                 let u = &self.siqs[i][k];
                 self.energy.head_examinations += 1;
-                if self.fabric.state(u.seq) == WakeState::Ready && ports.try_claim(u.port, u.class)
-                {
+                if ctx.is_ready(u) && ports.try_claim(u.port, u.class) {
                     issued_mask |= 1 << k;
                 }
             }
@@ -212,7 +198,6 @@ impl Scheduler for Casino {
                     continue;
                 }
                 let u = self.siqs[i].remove(k).expect("indexed");
-                self.fabric.remove(u.seq);
                 self.energy.queue_reads += 1;
                 self.breakdown.from_siq += 1;
                 out.push(u.seq);
@@ -231,7 +216,7 @@ impl Scheduler for Casino {
                 let Some(front) = self.siqs[i].front() else {
                     break;
                 };
-                if self.fabric.state(front.seq) == WakeState::Ready {
+                if ctx.is_ready(front) {
                     break; // became issuable; keep it for next cycle
                 }
                 let u = self.siqs[i].pop_front().expect("head");
@@ -253,10 +238,6 @@ impl Scheduler for Casino {
         }
     }
 
-    fn on_complete(&mut self, dst: PhysReg) {
-        self.fabric.on_complete(dst);
-    }
-
     fn flush_after(&mut self, seq: u64, _flushed_dests: &[PhysReg]) {
         for q in self
             .siqs
@@ -265,7 +246,6 @@ impl Scheduler for Casino {
         {
             q.retain(|u| u.seq <= seq);
         }
-        self.fabric.flush_after(seq);
     }
 
     fn occupancy(&self) -> usize {
@@ -431,7 +411,6 @@ mod tests {
         assert_eq!(c.final_len(), 2);
         // Make the *younger* one ready: in-order final IQ must not issue it.
         scb.set_ready_at(PhysReg(2), 3);
-        c.on_complete(PhysReg(2));
         let out = issue_once(&mut c, &scb, 3);
         assert!(
             out.is_empty(),
@@ -439,7 +418,6 @@ mod tests {
         );
         // Now the older becomes ready: both drain in order.
         scb.set_ready_at(PhysReg(1), 4);
-        c.on_complete(PhysReg(1));
         let out = issue_once(&mut c, &scb, 4);
         assert_eq!(out, vec![0, 1]);
     }
@@ -459,7 +437,6 @@ mod tests {
         let _ = issue_once(&mut c, &scb, 0); // moved to S-IQ1
         assert_eq!(c.siq_len(1), 1);
         scb.set_ready_at(PhysReg(1), 1);
-        c.on_complete(PhysReg(1));
         let out = issue_once(&mut c, &scb, 1);
         assert_eq!(out, vec![0]);
         assert_eq!(c.issue_breakdown().from_siq, 1);

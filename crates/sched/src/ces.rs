@@ -14,7 +14,6 @@
 //! CES in Fig. 13) steers a predicted M-dependent load behind its producer
 //! store, overriding register-dependence steering.
 
-use crate::fabric::{WakeFabric, WakeState};
 use crate::loc::LocTable;
 use crate::ports::PortAlloc;
 use crate::stats::{
@@ -91,7 +90,6 @@ pub struct Ces {
     piqs: Vec<VecDeque<SchedUop>>,
     loc: LocTable,
     lfst_steer: Vec<Option<LfstSteer>>,
-    fabric: WakeFabric,
     energy: SchedEnergyEvents,
     steer: SteerStats,
     heads: HeadStateStats,
@@ -115,7 +113,6 @@ impl Ces {
             piqs,
             loc,
             lfst_steer,
-            fabric: WakeFabric::new(),
             energy: SchedEnergyEvents::default(),
             steer: SteerStats::default(),
             heads: HeadStateStats::default(),
@@ -128,12 +125,11 @@ impl Ces {
         self.piqs[i].len()
     }
 
-    fn push_and_track(&mut self, piq: usize, uop: SchedUop, ctx: &ReadyCtx<'_>) {
+    fn push_and_track(&mut self, piq: usize, uop: SchedUop) {
         if let Some(d) = uop.dst {
             self.loc.set_location(d, piq as u16);
         }
         self.energy.queue_writes += 1;
-        self.fabric.insert(&uop, piq as u32, ctx);
         self.piqs[piq].push_back(uop);
     }
 
@@ -268,36 +264,24 @@ impl Scheduler for Ces {
             }
         };
         self.record_store_lfst(&uop, k);
-        self.push_and_track(k, uop, ctx);
+        self.push_and_track(k, uop);
         DispatchOutcome::Accepted
     }
 
     fn issue(&mut self, ctx: &ReadyCtx<'_>, ports: &mut PortAlloc<'_>, out: &mut Vec<u64>) {
-        self.fabric.poll(ctx);
         let mut any_candidate = false;
         for i in 0..self.piqs.len() {
             let state = match self.piqs[i].front() {
                 None => HeadState::Empty,
                 Some(head) => {
                     self.energy.head_examinations += 1;
-                    match self.fabric.state(head.seq) {
-                        WakeState::Ready => {
-                            any_candidate = true;
-                            if ports.try_claim(head.port, head.class) {
-                                HeadState::Issuing
-                            } else {
-                                HeadState::StallPortConflict
-                            }
-                        }
-                        WakeState::Held => HeadState::StallMdepLoad,
-                        WakeState::Waiting => HeadState::StallNonReady,
-                    }
+                    ctx.claim_head(head, ports)
                 }
             };
+            any_candidate |= matches!(state, HeadState::Issuing | HeadState::StallPortConflict);
             self.heads.record(state);
             if state == HeadState::Issuing {
                 let u = self.piqs[i].pop_front().expect("head present");
-                self.fabric.remove(u.seq);
                 self.energy.queue_reads += 1;
                 self.breakdown.from_piq += 1;
                 // A store's issue releases its LFST-steer entry.
@@ -321,7 +305,6 @@ impl Scheduler for Ces {
 
     fn on_complete(&mut self, dst: PhysReg) {
         self.loc.clear(dst);
-        self.fabric.on_complete(dst);
     }
 
     fn flush_after(&mut self, seq: u64, flushed_dests: &[PhysReg]) {
@@ -334,7 +317,6 @@ impl Scheduler for Ces {
                 }
             }
         }
-        self.fabric.flush_after(seq);
         for d in flushed_dests {
             self.loc.clear(*d);
         }
@@ -374,20 +356,10 @@ impl Scheduler for Ces {
 
     fn next_event_cycle(&self, ctx: &ReadyCtx<'_>, pending: Option<&SchedUop>) -> Option<u64> {
         let mut horizon = u64::MAX;
-        for q in &self.piqs {
-            let Some(head) = q.front() else { continue };
-            let rc = ctx.scb.srcs_ready_cycle(&head.srcs);
-            if rc <= ctx.cycle {
-                if !ctx.held.contains(head.seq) {
-                    return None; // ready head: selects this cycle
-                }
-                // MDP-blocked head: stable StallMdepLoad until a store
-                // issues, which cannot happen while we are quiesced.
-            } else {
-                // The recorded state flips (StallNonReady → issue/MdepLoad)
-                // when the sources arrive, held or not.
-                horizon = horizon.min(rc);
-            }
+        // A ready head selects now; a stalled one records the same state
+        // every cycle until its stall horizon.
+        for head in self.piqs.iter().filter_map(|q| q.front()) {
+            horizon = horizon.min(ctx.stall_horizon(head)?);
         }
         if let Some(p) = pending {
             if self.plan(p).target.is_some() {
@@ -411,11 +383,7 @@ impl Scheduler for Ces {
                 None => HeadState::Empty,
                 Some(head) => {
                     self.energy.head_examinations += k;
-                    if ctx.is_mdp_blocked(head) {
-                        HeadState::StallMdepLoad
-                    } else {
-                        HeadState::StallNonReady
-                    }
+                    ctx.stall_state(head)
                 }
             };
             self.heads.record_n(state, k);

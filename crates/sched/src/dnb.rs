@@ -13,7 +13,7 @@
 //! * **non-ready, critical** μops (dependent on in-flight loads) get the
 //!   real out-of-order IQ.
 
-use crate::fabric::{WakeFabric, WakeState};
+use crate::ino::issue_ready_prefix;
 use crate::ooo::{OooIq, OooIqConfig};
 use crate::ports::PortAlloc;
 use crate::stats::{IssueBreakdown, SchedEnergyEvents};
@@ -68,10 +68,6 @@ pub struct Dnb {
     bypass: VecDeque<SchedUop>,
     /// (release cycle, μop)
     delay: VecDeque<(u64, SchedUop)>,
-    /// Wakeup state for the in-order structures (the embedded OoO IQ
-    /// keeps its own fabric; its seqs leave gaps here, which the
-    /// seq-indexed slab tolerates).
-    fabric: WakeFabric,
     energy: SchedEnergyEvents,
     breakdown: IssueBreakdown,
 }
@@ -88,7 +84,6 @@ impl Dnb {
             ooo,
             bypass: VecDeque::new(),
             delay: VecDeque::new(),
-            fabric: WakeFabric::new(),
             energy: SchedEnergyEvents::default(),
             breakdown: IssueBreakdown::default(),
         }
@@ -141,7 +136,6 @@ impl Scheduler for Dnb {
                 .push_back((ctx.cycle + self.cfg.delay_cycles, uop)),
         }
         self.energy.queue_writes += 1;
-        self.fabric.insert(&uop, 0, ctx);
         DispatchOutcome::Accepted
     }
 
@@ -149,39 +143,29 @@ impl Scheduler for Dnb {
         // Small OoO IQ has priority (it holds the critical slices).
         self.ooo.issue(ctx, ports, out);
 
-        self.fabric.poll(ctx);
-        // In-order structures share a port budget.
-        let mut grants = self.cfg.inorder_ports;
-        while grants > 0 {
-            let Some(head) = self.bypass.front() else {
-                break;
-            };
-            self.energy.head_examinations += 1;
-            if self.fabric.state(head.seq) != WakeState::Ready
-                || !ports.try_claim(head.port, head.class)
-            {
-                break;
-            }
-            let u = self.bypass.pop_front().expect("head");
-            self.fabric.remove(u.seq);
-            self.energy.queue_reads += 1;
-            self.breakdown.from_inorder += 1;
-            out.push(u.seq);
-            grants -= 1;
-        }
+        // In-order structures share a port budget, bypass queue first.
+        let bypassed = issue_ready_prefix(
+            &mut self.bypass,
+            self.cfg.inorder_ports,
+            ctx,
+            ports,
+            &mut self.energy,
+            out,
+        );
+        self.breakdown.from_inorder += bypassed;
+        let mut grants = self.cfg.inorder_ports - bypassed as usize;
         while grants > 0 {
             let Some((release, head)) = self.delay.front() else {
                 break;
             };
             self.energy.head_examinations += 1;
-            if *release > ctx.cycle || self.fabric.state(head.seq) != WakeState::Ready {
+            if *release > ctx.cycle || !ctx.is_ready(head) {
                 break;
             }
             if !ports.try_claim(head.port, head.class) {
                 break;
             }
             let (_, u) = self.delay.pop_front().expect("head");
-            self.fabric.remove(u.seq);
             self.energy.queue_reads += 1;
             self.breakdown.from_siq += 1; // delay-queue issues
             out.push(u.seq);
@@ -191,7 +175,6 @@ impl Scheduler for Dnb {
 
     fn on_complete(&mut self, dst: PhysReg) {
         self.ooo.on_complete(dst);
-        self.fabric.on_complete(dst);
     }
 
     fn flush_after(&mut self, seq: u64, flushed_dests: &[PhysReg]) {
@@ -202,7 +185,6 @@ impl Scheduler for Dnb {
         while self.delay.back().map(|(_, u)| u.seq > seq).unwrap_or(false) {
             self.delay.pop_back();
         }
-        self.fabric.flush_after(seq);
     }
 
     fn occupancy(&self) -> usize {
@@ -346,7 +328,6 @@ mod tests {
             held: &held,
         };
         d.try_dispatch(op(1, 0, Some(10)), &ctx);
-        d.on_complete(PhysReg(10)); // writeback edge at the producer's ready cycle
         assert_eq!(d.ooo_len(), 0);
         // Not issuable before the fixed delay expires.
         assert!(issue_once(&mut d, &scb, 1).is_empty());

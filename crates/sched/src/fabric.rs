@@ -1,12 +1,16 @@
-//! The shared producer-indexed wakeup fabric.
+//! The producer-indexed wakeup fabric, for schedulers whose select
+//! searches a whole window: the out-of-order IQ (and so FXA's back end
+//! and DNB's embedded OoO IQ) and the delay-sorted LDT queue.
 //!
-//! Every live scheduler used to re-derive readiness by rescanning its
-//! resident μops against the [`Scoreboard`](crate::Scoreboard) each
-//! cycle — a software re-enactment of the CAM broadcast the paper's
-//! whole point is to avoid. The fabric inverts the dependence: each
+//! Rescanning such a window against the
+//! [`Scoreboard`](crate::Scoreboard) every cycle would re-enact the CAM
+//! broadcast in software. The fabric inverts the dependence: each
 //! *producer* register keeps the list of resident consumers waiting on
 //! it, so a completion ([`WakeFabric::on_complete`]) touches exactly
 //! the consumers of that destination instead of the whole window.
+//! FIFO designs (in-order, CASINO, CES, DNB's in-order queues, LSC,
+//! Ballerino) examine at most their port count of heads per cycle, so
+//! they level-check those heads with [`ReadyCtx::is_ready`] instead.
 //!
 //! ## Invariants (see ARCHITECTURE.md, "The wakeup fabric")
 //!
@@ -32,9 +36,8 @@
 //!   [`ReadyCtx::held`] once per issue call — O(held), not O(window).
 //!
 //! Entries are keyed by the μop sequence number in a [`SeqSlab`]
-//! (dispatch is program-ordered, so inserts are appends):
-//! schedulers that shuffle μops between internal queues (Ballerino,
-//! CASINO, CES) need no handle bookkeeping at all.
+//! (dispatch is program-ordered, so inserts are appends), so a
+//! scheduler needs no handle bookkeeping.
 
 use crate::ports::PortAlloc;
 use crate::slab::SeqSlab;
@@ -50,7 +53,7 @@ use ballerino_isa::{OpClass, PhysReg, PortId, MAX_PORTS};
 /// `Ready` ⟺ `is_ready`, `Held` ⟺ `is_mdp_blocked`, `Waiting` ⟺
 /// some register source still pending.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WakeState {
+pub(crate) enum WakeState {
     /// At least one register source has not completed.
     Waiting,
     /// All register sources done, but an MDP hold blocks issue.
@@ -102,17 +105,20 @@ impl WakeFabric {
     }
 
     /// Resident entries.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.slab.len()
     }
 
     /// Whether no μop is resident.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.slab.is_empty()
     }
 
     /// Entries currently issuable (after the last [`WakeFabric::poll`]).
-    pub fn ready_len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn ready_len(&self) -> usize {
         self.ready.len()
     }
 
@@ -127,7 +133,8 @@ impl WakeFabric {
     /// The readiness state of resident μop `seq`. Exact against the
     /// level-checked `ReadyCtx` predicates once [`WakeFabric::poll`]
     /// has run for the current cycle.
-    pub fn state(&self, seq: u64) -> WakeState {
+    #[cfg(test)]
+    pub(crate) fn state(&self, seq: u64) -> WakeState {
         self.entry(seq).state
     }
 
@@ -257,7 +264,7 @@ impl WakeFabric {
 
     /// Releases held entries whose MDP hold is gone (their producer
     /// store issued). Call once at the start of each `issue` before
-    /// consulting [`WakeFabric::state`] / [`WakeFabric::select`].
+    /// [`WakeFabric::select`].
     pub fn poll(&mut self, ctx: &ReadyCtx<'_>) {
         let mut i = 0;
         while i < self.held.len() {
@@ -324,7 +331,8 @@ impl WakeFabric {
     /// priority order until the width budget runs out. Returns whether
     /// any resident requested select (ready entries exist, even
     /// port-blocked ones); the granted sequence numbers are available
-    /// via [`WakeFabric::grants`] until the next call.
+    /// via [`WakeFabric::grant_count`] and [`WakeFabric::grant`] until
+    /// the next call.
     pub fn select(&mut self, ports: &mut PortAlloc<'_>, oldest_first: bool) -> bool {
         self.grant_buf.clear();
         if self.ready.is_empty() {
@@ -386,18 +394,10 @@ impl WakeFabric {
         true
     }
 
-    /// Diagnostic rendering of the entry for `seq` (see
-    /// [`Scheduler::debug_locate`](crate::Scheduler::debug_locate)).
-    pub fn debug_entry(&self, seq: u64) -> String {
-        match self.slab.get(seq) {
-            Some(e) => format!("{e:?}"),
-            None => "gone".into(),
-        }
-    }
-
     /// Sequence numbers granted by the last [`WakeFabric::select`], in
     /// grant order.
-    pub fn grants(&self) -> &[u64] {
+    #[cfg(test)]
+    pub(crate) fn grants(&self) -> &[u64] {
         &self.grant_buf
     }
 

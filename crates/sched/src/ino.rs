@@ -5,7 +5,6 @@
 //! classic stall-on-use in-order scheduling — the first non-ready μop
 //! blocks everything behind it.
 
-use crate::fabric::{WakeFabric, WakeState};
 use crate::ports::PortAlloc;
 use crate::stats::{IssueBreakdown, SchedEnergyEvents};
 use crate::traits::{DispatchOutcome, ReadyCtx, Scheduler, StallReason};
@@ -31,12 +30,39 @@ impl Default for InOrderIqConfig {
     }
 }
 
+/// Issues the ready prefix of the in-order queue `q`: examines at most
+/// `window` heads, oldest first, and stops at the first one that is not
+/// ready or loses its port claim (a port conflict also blocks, since
+/// order must be kept). Charges a head examination per head looked at
+/// and a queue read per issue; returns how many issued.
+pub(crate) fn issue_ready_prefix(
+    q: &mut VecDeque<SchedUop>,
+    window: usize,
+    ctx: &ReadyCtx<'_>,
+    ports: &mut PortAlloc<'_>,
+    energy: &mut SchedEnergyEvents,
+    out: &mut Vec<u64>,
+) -> u64 {
+    let mut issued = 0;
+    for _ in 0..window {
+        let Some(head) = q.front() else { break };
+        energy.head_examinations += 1;
+        if !ctx.is_ready(head) || !ports.try_claim(head.port, head.class) {
+            break;
+        }
+        let u = q.pop_front().expect("head");
+        energy.queue_reads += 1;
+        out.push(u.seq);
+        issued += 1;
+    }
+    issued
+}
+
 /// The in-order issue queue.
 #[derive(Debug)]
 pub struct InOrderIq {
     cfg: InOrderIqConfig,
     q: VecDeque<SchedUop>,
-    fabric: WakeFabric,
     energy: SchedEnergyEvents,
     breakdown: IssueBreakdown,
 }
@@ -47,7 +73,6 @@ impl InOrderIq {
         InOrderIq {
             cfg,
             q: VecDeque::new(),
-            fabric: WakeFabric::new(),
             energy: SchedEnergyEvents::default(),
             breakdown: IssueBreakdown::default(),
         }
@@ -59,43 +84,28 @@ impl Scheduler for InOrderIq {
         "ino"
     }
 
-    fn try_dispatch(&mut self, uop: SchedUop, ctx: &ReadyCtx<'_>) -> DispatchOutcome {
+    fn try_dispatch(&mut self, uop: SchedUop, _ctx: &ReadyCtx<'_>) -> DispatchOutcome {
         if self.q.len() >= self.cfg.entries {
             return DispatchOutcome::Stall(StallReason::Full);
         }
         self.energy.queue_writes += 1;
-        self.fabric.insert(&uop, 0, ctx);
         self.q.push_back(uop);
         DispatchOutcome::Accepted
     }
 
     fn issue(&mut self, ctx: &ReadyCtx<'_>, ports: &mut PortAlloc<'_>, out: &mut Vec<u64>) {
-        self.fabric.poll(ctx);
-        let window = self.cfg.read_ports.min(self.q.len());
-        let mut issued = 0;
-        for _ in 0..window {
-            let Some(head) = self.q.front() else { break };
-            self.energy.head_examinations += 1;
-            if self.fabric.state(head.seq) != WakeState::Ready {
-                break; // stall-on-use: in-order issue only
-            }
-            if !ports.try_claim(head.port, head.class) {
-                break; // port conflict also blocks, order must be kept
-            }
-            let u = self.q.pop_front().expect("nonempty");
-            self.fabric.remove(u.seq);
-            self.energy.queue_reads += 1;
-            self.breakdown.from_inorder += 1;
-            out.push(u.seq);
-            issued += 1;
-        }
+        let issued = issue_ready_prefix(
+            &mut self.q,
+            self.cfg.read_ports,
+            ctx,
+            ports,
+            &mut self.energy,
+            out,
+        );
+        self.breakdown.from_inorder += issued;
         if issued > 0 || !self.q.is_empty() {
             self.energy.select_inputs += self.cfg.read_ports as u64;
         }
-    }
-
-    fn on_complete(&mut self, dst: PhysReg) {
-        self.fabric.on_complete(dst);
     }
 
     fn flush_after(&mut self, seq: u64, _flushed_dests: &[PhysReg]) {
@@ -106,7 +116,6 @@ impl Scheduler for InOrderIq {
                 break;
             }
         }
-        self.fabric.flush_after(seq);
     }
 
     fn occupancy(&self) -> usize {

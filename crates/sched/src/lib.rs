@@ -54,7 +54,7 @@ pub mod uop;
 pub use casino::{Casino, CasinoConfig};
 pub use ces::{Ces, CesConfig};
 pub use dnb::{Dnb, DnbConfig};
-pub use fabric::{WakeFabric, WakeState};
+pub use fabric::WakeFabric;
 pub use fxa::{Fxa, FxaConfig};
 pub use held::HeldSet;
 pub use ino::{InOrderIq, InOrderIqConfig};

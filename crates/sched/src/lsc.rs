@@ -12,6 +12,7 @@
 //! base register is marked; over loop iterations the transitive closure
 //! of address producers migrates into the bypass queue.
 
+use crate::ino::issue_ready_prefix;
 use crate::ports::PortAlloc;
 use crate::stats::{IssueBreakdown, SchedEnergyEvents};
 use crate::traits::{DispatchOutcome, ReadyCtx, Scheduler, StallReason};
@@ -84,29 +85,6 @@ impl Lsc {
     pub fn in_slice(&self, pc: u64) -> bool {
         self.ist[self.ist_index(pc)]
     }
-
-    fn issue_from(
-        q: &mut VecDeque<SchedUop>,
-        window: usize,
-        ctx: &ReadyCtx<'_>,
-        ports: &mut PortAlloc<'_>,
-        energy: &mut SchedEnergyEvents,
-        out: &mut Vec<u64>,
-    ) -> u64 {
-        let mut issued = 0;
-        for _ in 0..window {
-            let Some(head) = q.front() else { break };
-            energy.head_examinations += 1;
-            if !ctx.is_ready(head) || !ports.try_claim(head.port, head.class) {
-                break; // each queue is strictly in-order
-            }
-            let u = q.pop_front().expect("head");
-            energy.queue_reads += 1;
-            out.push(u.seq);
-            issued += 1;
-        }
-        issued
-    }
 }
 
 impl Scheduler for Lsc {
@@ -163,7 +141,7 @@ impl Scheduler for Lsc {
 
     fn issue(&mut self, ctx: &ReadyCtx<'_>, ports: &mut PortAlloc<'_>, out: &mut Vec<u64>) {
         // Bypass queue first: that is the whole point of the design.
-        let b = Self::issue_from(
+        let b = issue_ready_prefix(
             &mut self.bypass,
             self.cfg.ports_per_queue,
             ctx,
@@ -171,7 +149,7 @@ impl Scheduler for Lsc {
             &mut self.energy,
             out,
         );
-        let m = Self::issue_from(
+        let m = issue_ready_prefix(
             &mut self.main,
             self.cfg.ports_per_queue,
             ctx,
@@ -185,8 +163,6 @@ impl Scheduler for Lsc {
             self.energy.select_inputs += (2 * self.cfg.ports_per_queue) as u64;
         }
     }
-
-    fn on_complete(&mut self, _dst: PhysReg) {}
 
     fn flush_after(&mut self, seq: u64, _flushed_dests: &[PhysReg]) {
         for q in [&mut self.bypass, &mut self.main] {

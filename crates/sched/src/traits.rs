@@ -4,7 +4,7 @@
 use crate::held::HeldSet;
 use crate::ports::PortAlloc;
 use crate::scoreboard::Scoreboard;
-use crate::stats::{HeadStateStats, IssueBreakdown, SchedEnergyEvents, SteerStats};
+use crate::stats::{HeadState, HeadStateStats, IssueBreakdown, SchedEnergyEvents, SteerStats};
 use crate::uop::SchedUop;
 use ballerino_isa::PhysReg;
 
@@ -32,6 +32,45 @@ impl ReadyCtx<'_> {
     /// (the `StallMdepLoad` head state of Fig. 6a).
     pub fn is_mdp_blocked(&self, u: &SchedUop) -> bool {
         self.scb.srcs_ready(&u.srcs, self.cycle) && self.held.contains(u.seq)
+    }
+
+    /// Classifies queue head `u` this cycle: a ready head claims its
+    /// port (`Issuing`, or `StallPortConflict` when denied); any other
+    /// head records its [`ReadyCtx::stall_state`].
+    pub fn claim_head(&self, u: &SchedUop, ports: &mut PortAlloc<'_>) -> HeadState {
+        if !self.is_ready(u) {
+            self.stall_state(u)
+        } else if ports.try_claim(u.port, u.class) {
+            HeadState::Issuing
+        } else {
+            HeadState::StallPortConflict
+        }
+    }
+
+    /// The head state a queue head records when it is not ready:
+    /// `StallMdepLoad` when only an MDP hold blocks it, else
+    /// `StallNonReady`. The live `issue` and the idle-cycle replay both
+    /// classify through it.
+    pub fn stall_state(&self, u: &SchedUop) -> HeadState {
+        if self.is_mdp_blocked(u) {
+            HeadState::StallMdepLoad
+        } else {
+            HeadState::StallNonReady
+        }
+    }
+
+    /// Quiesce probe for a queue head: `None` when `u` is ready (it
+    /// requests select now), else the first cycle its
+    /// [`ReadyCtx::stall_state`] can change, which is when its register
+    /// sources arrive, held or not. An MDP-blocked head, or one waiting
+    /// on an unscheduled producer, reports `u64::MAX`: only scheduler
+    /// activity can move it.
+    pub fn stall_horizon(&self, u: &SchedUop) -> Option<u64> {
+        if self.is_ready(u) {
+            return None;
+        }
+        let rc = self.scb.srcs_ready_cycle(&u.srcs);
+        Some(if rc > self.cycle { rc } else { u64::MAX })
     }
 
     /// First cycle at which [`ReadyCtx::is_ready`] becomes true for `u`,
@@ -94,7 +133,9 @@ pub trait Scheduler {
     fn issue(&mut self, ctx: &ReadyCtx<'_>, ports: &mut PortAlloc<'_>, out: &mut Vec<u64>);
 
     /// Notes that the value of `dst` has become available (wakeup).
-    fn on_complete(&mut self, dst: PhysReg);
+    /// Designs that level-check their heads through [`ReadyCtx`] and keep
+    /// no per-register state ignore it.
+    fn on_complete(&mut self, _dst: PhysReg) {}
 
     /// Removes every μop younger than `seq` and clears producer-location
     /// state for `flushed_dests` (destinations of *all* squashed μops,
@@ -162,7 +203,7 @@ pub trait Scheduler {
     fn note_idle_cycles(&mut self, _ctx: &ReadyCtx<'_>, _pending: Option<&SchedUop>, _k: u64) {}
 
     /// Diagnostic rendering of where resident μop `seq` lives inside the
-    /// scheduler (queue position, wake state). Only consulted by the
+    /// scheduler (queue and position). Only consulted by the
     /// simulator's no-forward-progress panic, where "which queue is the
     /// ROB head stuck in, and why" is the first debugging question.
     fn debug_locate(&self, _seq: u64) -> String {
@@ -179,6 +220,8 @@ mod tests {
     fn ready_ctx_checks_scoreboard_and_holds() {
         let mut scb = Scoreboard::new(4);
         scb.allocate(PhysReg(1));
+        scb.allocate(PhysReg(2));
+        scb.set_ready_at(PhysReg(2), 15);
         let mut held = HeldSet::new();
         held.insert(7u64);
 
@@ -191,14 +234,26 @@ mod tests {
         let mut u = SchedUop::test_op(3);
         u.srcs = [Some(PhysReg(0)), None];
         assert!(ctx.is_ready(&u));
+        assert_eq!(ctx.stall_horizon(&u), None, "ready: selects now");
+
+        u.srcs = [Some(PhysReg(2)), None];
+        assert_eq!(ctx.stall_horizon(&u), Some(15), "producer scheduled");
 
         u.srcs = [Some(PhysReg(1)), None];
         assert!(!ctx.is_ready(&u));
         assert!(!ctx.is_mdp_blocked(&u));
+        assert_eq!(ctx.stall_state(&u), HeadState::StallNonReady);
+        assert_eq!(ctx.stall_horizon(&u), Some(u64::MAX), "unscheduled");
 
         let mut held_load = SchedUop::test_op(7);
         held_load.srcs = [Some(PhysReg(0)), None];
         assert!(!ctx.is_ready(&held_load));
         assert!(ctx.is_mdp_blocked(&held_load));
+        assert_eq!(ctx.stall_state(&held_load), HeadState::StallMdepLoad);
+        assert_eq!(ctx.stall_horizon(&held_load), Some(u64::MAX));
+
+        // A held μop still waiting on a register stalls as non-ready.
+        held_load.srcs = [Some(PhysReg(1)), None];
+        assert_eq!(ctx.stall_state(&held_load), HeadState::StallNonReady);
     }
 }
