@@ -15,7 +15,7 @@
 //!
 //! ## Threading model
 //!
-//! [`run_matrix`] flattens the `kinds × workloads` matrix into a shared
+//! [`run_cells`] flattens the `kinds × workloads` matrix into a shared
 //! list of independent cells and runs them on a fixed pool of
 //! [`threads`] workers that *steal* work via an atomic cursor: each
 //! worker repeatedly claims the next unclaimed cell index with a
@@ -27,34 +27,9 @@
 //! because every simulation is single-threaded and deterministic, every
 //! cycle count — is independent of the thread count.
 //!
-//! ## `BENCH_simthroughput.json` (written by the `perf_smoke` binary)
-//!
-//! ```json
-//! {
-//!   "bench": "simthroughput",
-//!   "git_sha": "69f6e61",       // commit of the run ("unknown" outside git)
-//!   "date": "2026-08-06",       // UTC date of the run
-//!   "n": 20000,                 // μops per workload
-//!   "seed": 42,
-//!   "threads": 1,               // pool size used for the "new" side
-//!   "cycles_skipped": 812345,   // event-horizon fast-forwards, new side
-//!   "total_cycles": 2123456,    // simulated cycles, new side
-//!   "baseline_wall_s": 5.317,   // legacy runner × frozen seed pipeline
-//!   "new_wall_s": 2.656,        // work-stealing runner × slab pipeline
-//!   "speedup": 2.0019,          // baseline_wall_s / new_wall_s
-//!   "cycle_mismatches": 0,      // cells whose full SimResult differs ⇒ exit 1
-//!   "cells": [                  // one per (kind, workload), kind-major
-//!     {"kind": "OoO", "workload": "stream_triad", "cycles": 9741,
-//!      "committed": 20000, "cycles_skipped": 1234, "host_wall_s": 0.0123,
-//!      "baseline_host_wall_s": 0.0217,
-//!      "sim_uops_per_sec": 1626016.3, "sim_cycles_per_sec": 793495.9}
-//!   ]
-//! }
-//! ```
-//!
-//! Both sides simulate every cell, alternating rep by rep; each cell's
-//! full `SimResult` (host-throughput fields zeroed) must agree exactly,
-//! so `speedup` is a pure host-throughput ratio.
+//! Host throughput is measured by the separate `perfbench` package;
+//! simulated exactness against the seed reference pipeline is checked
+//! by `tests/reference_equivalence.rs`.
 
 #![warn(missing_docs)]
 
@@ -75,7 +50,7 @@ pub use sweep::{
 
 use ballerino_sim::stats::geomean;
 use ballerino_sim::{MachineKind, SimResult, Width};
-use ballerino_workloads::{workload, workload_names};
+use ballerino_workloads::workload_names;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -130,20 +105,6 @@ pub fn threads() -> usize {
         })
 }
 
-/// Runs several machine kinds over the suite on `threads` work-stealing
-/// workers; returns `[kind][workload]`.
-///
-/// The result is bit-for-bit independent of `threads` — workers only
-/// race for *which* cell to claim next, never over a cell's inputs or
-/// outputs.
-pub fn run_matrix_with_threads(
-    kinds: &[MachineKind],
-    width: Width,
-    threads: usize,
-) -> Vec<Vec<SimResult>> {
-    run_cells(kinds, width, suite_len(), seed(), threads)
-}
-
 /// Runs `f` over `items` on a fixed pool of `threads` work-stealing
 /// workers (the atomic-cursor scheme described in the module docs);
 /// returns results in item order. Every pooled runner in this crate —
@@ -182,8 +143,13 @@ where
         .collect()
 }
 
-/// [`run_matrix_with_threads`] with explicit workload length and seed
-/// (instead of the `BALLERINO_N` / `BALLERINO_SEED` environment).
+/// Runs several machine kinds over the suite of `n`-μop workloads
+/// generated with seed `s`, on `threads` work-stealing workers; returns
+/// `[kind][workload]`.
+///
+/// The result is bit-for-bit independent of `threads` — workers only
+/// race for *which* cell to claim next, never over a cell's inputs or
+/// outputs.
 pub fn run_cells(
     kinds: &[MachineKind],
     width: Width,
@@ -208,49 +174,12 @@ pub fn run_cells(
     rows
 }
 
-/// Runs several machine kinds over the suite (the [`threads`]-sized
-/// work-stealing pool); returns `[kind][workload]`.
-pub fn run_matrix(kinds: &[MachineKind], width: Width) -> Vec<Vec<SimResult>> {
-    run_matrix_with_threads(kinds, width, threads())
-}
-
-/// Runs one machine kind over the whole suite at a width.
+/// Runs one machine kind over the whole suite at a width (the
+/// environment's [`suite_len`], [`seed`] and [`threads`]).
 pub fn run_suite(kind: MachineKind, width: Width) -> Vec<SimResult> {
-    run_matrix(&[kind], width).pop().expect("one row per kind")
-}
-
-/// The harness this crate shipped before the work-stealing runner: one
-/// short-lived thread per workload *per kind*, each regenerating its
-/// trace from scratch. Kept (generic over the per-cell run function) as
-/// the baseline side of the `perf_smoke` throughput A/B.
-pub fn run_matrix_legacy(
-    kinds: &[MachineKind],
-    width: Width,
-    run: impl Fn(MachineKind, Width, &ballerino_isa::Trace) -> SimResult + Copy + Send + Sync,
-) -> Vec<Vec<SimResult>> {
-    let n = suite_len();
-    let s = seed();
-    let names = workload_names();
-    kinds
-        .iter()
-        .map(|&kind| {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = names
-                    .iter()
-                    .map(|wl| {
-                        scope.spawn(move || {
-                            let t = workload(wl, n, s);
-                            run(kind, width, &t)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("simulation panicked"))
-                    .collect()
-            })
-        })
-        .collect()
+    run_cells(&[kind], width, suite_len(), seed(), threads())
+        .pop()
+        .expect("one row per kind")
 }
 
 /// Per-workload speedups of `results` over `base` (paired by index),

@@ -604,14 +604,16 @@ impl Ballerino {
 
 impl Ballerino {
     /// Switches to the seed's per-cycle-allocating issue path (identical
-    /// grant decisions); kept for the `perf_smoke` reference baseline.
+    /// grant decisions); kept for the reference pipeline that
+    /// `reference_equivalence`, `skip_equivalence` and perfbench's
+    /// output check compare the live one against.
     pub fn with_reference_issue(mut self) -> Self {
         self.reference_issue = true;
         self
     }
 
-    /// The seed's issue path, frozen verbatim for the `perf_smoke`
-    /// reference baseline: allocates its tracking buffers every cycle
+    /// The seed's issue path, frozen verbatim for the reference
+    /// pipeline: allocates its tracking buffers every cycle
     /// and asks each P-IQ for a heap-allocated candidate list. Grant
     /// decisions are identical to [`Scheduler::issue`].
     fn issue_reference(

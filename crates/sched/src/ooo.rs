@@ -81,8 +81,9 @@ impl OooIq {
 
     /// Switches select to the seed's grant loop, which rescans every
     /// slot once per grant. Identical grant decisions, O(entries ×
-    /// width) instead of O(entries) per cycle; kept for the `perf_smoke`
-    /// reference baseline.
+    /// width) instead of O(entries) per cycle; kept for the reference
+    /// pipeline that `reference_equivalence`, `skip_equivalence` and
+    /// perfbench's output check compare the live one against.
     pub fn with_reference_select(mut self) -> Self {
         self.reference_select = true;
         self

@@ -167,8 +167,9 @@ impl PortArbiter {
         best
     }
 
-    /// The seed's assignment path, frozen for the `perf_smoke` reference
-    /// baseline: recomputes the capable-port list (a fresh `Vec`) on
+    /// The seed's assignment path, frozen for the reference pipeline
+    /// (`reference_equivalence`, `skip_equivalence`, perfbench's output
+    /// check): recomputes the capable-port list (a fresh `Vec`) on
     /// every call instead of using the precomputed `by_fu` table. Picks
     /// the same port as [`PortArbiter::assign`].
     pub fn assign_reference(&mut self, class: OpClass) -> PortId {

@@ -7,15 +7,11 @@
 //! [`SeqSlab`](crate::SeqSlab), a dense taint vector, waiter lists
 //! folded into each store's entry, and reused scratch buffers.
 //!
-//! It exists for exactly two purposes, both exercised by the
-//! `perf_smoke` bench binary:
-//!
-//! 1. **Equivalence**: the refactor is a pure performance change, so the
-//!    reference and production cores must report byte-identical cycle
-//!    counts on every workload.
-//! 2. **Throughput A/B**: the measured speedup of the production core
-//!    over this reference is the data-layout half of the
-//!    `BENCH_simthroughput.json` trajectory.
+//! It exists as the equivalence oracle: the refactor is a pure
+//! performance change, so the reference and production cores must
+//! report the same `SimResult` on every input. The bench crate's
+//! `reference_equivalence` test, the sim crate's `skip_equivalence` test
+//! and perfbench's output check compare the two.
 //!
 //! Only the adaptations needed to share today's interfaces were made
 //! (the scheduler contract takes [`HeldSet`] and [`SimResult`] carries

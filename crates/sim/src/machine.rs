@@ -513,8 +513,9 @@ pub fn run_machine(kind: MachineKind, width: Width, trace: &Trace) -> SimResult 
 /// Like [`run_machine`], but on the seed-layout
 /// [`CoreRef`](crate::core_ref::CoreRef) reference pipeline. Must report
 /// the same [`SimResult`] as [`run_machine`] on every input, apart from
-/// the host-throughput fields `host_wall_s` and `cycles_skipped`; exists
-/// for the `perf_smoke` equivalence + throughput A/B.
+/// the host-throughput fields `host_wall_s` and `cycles_skipped`; the
+/// oracle of `reference_equivalence`, `skip_equivalence` and perfbench's
+/// output check.
 pub fn run_machine_reference(kind: MachineKind, width: Width, trace: &Trace) -> SimResult {
     let (cfg, sched, sizes) = build_scheduler_inner(&DesignPoint::new(kind, width), true);
     crate::core_ref::CoreRef::new(cfg, sched, sizes).run(trace)

@@ -77,14 +77,6 @@ impl TimingBreakdown {
         )
     }
 
-    /// Average over all classes combined.
-    pub fn avg_all(&self) -> (f64, f64, f64) {
-        let n: u64 = self.counts.iter().sum();
-        let n = n.max(1) as f64;
-        let seg = |s: usize| self.sums.iter().map(|row| row[s]).sum::<u64>() as f64 / n;
-        (seg(0), seg(1), seg(2))
-    }
-
     /// Committed μops recorded for a class.
     pub fn count(&self, class: TimingClass) -> u64 {
         self.counts[Self::idx(class)]
@@ -155,24 +147,6 @@ impl SimResult {
     /// time (accounts for frequency differences).
     pub fn speedup_over(&self, base: &SimResult) -> f64 {
         base.seconds() / self.seconds()
-    }
-
-    /// Simulator throughput: committed μops per host wall-clock second.
-    pub fn sim_uops_per_sec(&self) -> f64 {
-        if self.host_wall_s > 0.0 {
-            self.committed as f64 / self.host_wall_s
-        } else {
-            0.0
-        }
-    }
-
-    /// Simulator throughput: simulated cycles per host wall-clock second.
-    pub fn sim_cycles_per_sec(&self) -> f64 {
-        if self.host_wall_s > 0.0 {
-            self.cycles as f64 / self.host_wall_s
-        } else {
-            0.0
-        }
     }
 }
 

@@ -169,6 +169,7 @@ pub fn cached_features(name: &str, n: usize, seed: u64) -> Arc<TraceFeatures> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::suite::workload_names;
 
     #[test]
     fn same_key_returns_same_allocation() {
@@ -193,12 +194,11 @@ mod tests {
     #[test]
     fn cached_trace_matches_direct_generation() {
         let cache = TraceCache::new();
-        let cached = cache.get("pointer_chase", 400, 7);
-        let direct = workload("pointer_chase", 400, 7);
-        assert_eq!(cached.len(), direct.len());
-        for (a, b) in cached.ops.iter().zip(direct.ops.iter()) {
-            assert_eq!(a.pc, b.pc);
-            assert_eq!(a.class, b.class);
+        for name in workload_names() {
+            let cached = cache.get(name, 400, 7);
+            let direct = workload(name, 400, 7);
+            assert_eq!(cached.name, direct.name);
+            assert!(cached.ops == direct.ops, "{name}: cached ops differ");
         }
     }
 
